@@ -49,7 +49,6 @@ from .tautconst import (
 __all__ = [
     "ArithDegree",
     "SpecialValueExponents",
-    "L_SLOT",
     "adeg_trivial_bundle",
     "adeg_lambda_L2",
     "adeg_psi_W",
@@ -82,11 +81,19 @@ def _slot_label(spec: GroupSpec) -> str:
     return f"L(0,M[{spec.label()}])"
 
 
-L_SLOT = _slot_label  # exported alias
-
-
 class HypothesisError(ValueError):
     """Group spec outside the hypotheses of the exponent pipeline."""
+
+
+def _admissible_provenance(spec: GroupSpec, what: str) -> tuple[str, ...]:
+    """Provenance of a ledger entry, or HypothesisError off the pipeline's hypotheses."""
+    if not spec.exponents_admissible():
+        if spec.kind == GroupKind.GAMMA0:
+            raise HypothesisError(f"p = {spec.p} is not 11 mod 12")
+        raise HypothesisError("pipeline needs a torsion-free congruence quotient")
+    if spec.kind == GroupKind.PRINCIPAL2:
+        return (what, EXTENSION_CAVEAT)
+    return (what,)
 
 
 @dataclass(frozen=True)
@@ -155,35 +162,15 @@ def adeg_psi_W(spec: GroupSpec) -> ArithDegree:
     p = 11 mod 12; gamma1 levels and the level-2 principal group
     qualify, the latter flagged as an anchor-certified extension.
     """
-    prov = ["cusp cotangent lines, leading q-coefficients"]
-    if spec.kind == GroupKind.GAMMA0:
-        if spec.p % 12 != 11:
-            raise HypothesisError(f"p = {spec.p} is not 11 mod 12")
-    elif spec.kind == GroupKind.GAMMA1:
-        pass
-    elif spec.kind == GroupKind.PRINCIPAL2:
-        prov.append(EXTENSION_CAVEAT)
-    else:
-        raise HypothesisError("pipeline needs a torsion-free congruence quotient")
-    return ArithDegree(vector=TranscendenceVector(), numeric=0.0,
-                       provenance=tuple(prov))
+    prov = _admissible_provenance(spec, "cusp cotangent lines, leading q-coefficients")
+    return ArithDegree(vector=TranscendenceVector(), numeric=0.0, provenance=prov)
 
 
 def self_intersection(spec: GroupSpec) -> ArithDegree:
     """4 m (2 zeta'(-1) + zeta(-1)) with zeta(-1) = -1/12 folded in exactly."""
-    prov = ["self-intersection of the log-canonical extension"]
-    if spec.kind == GroupKind.GAMMA0:
-        if spec.p % 12 != 11:
-            raise HypothesisError(f"p = {spec.p} is not 11 mod 12")
-    elif spec.kind == GroupKind.GAMMA1:
-        pass
-    elif spec.kind == GroupKind.PRINCIPAL2:
-        prov.append(EXTENSION_CAVEAT)
-    else:
-        raise HypothesisError("pipeline needs a torsion-free congruence quotient")
-    _, _, m = group_invariants(spec)
-    form = LogLinearForm(c_one=Rat(-m, 3), c_zp1=Rat(8 * m))
-    return ArithDegree(vector=reduce_form(form), numeric=None, provenance=tuple(prov))
+    prov = _admissible_provenance(spec, "self-intersection of the log-canonical extension")
+    return ArithDegree(vector=reduce_form(self_intersection_form(spec)), numeric=None,
+                       provenance=prov)
 
 
 def self_intersection_form(spec: GroupSpec) -> LogLinearForm:

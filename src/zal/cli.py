@@ -4,7 +4,7 @@ Subcommands mirror the verification pipelines; every command emits a
 report envelope either as a human-readable table or, with ``--json``, as
 deterministic JSON (keys sorted, floats in shortest round-trip form).
 Exit status is 0 exactly when every pass/fail entry in the report is
-true.  ``ZAL_THREADS`` caps enumeration parallelism.
+true.
 """
 
 from __future__ import annotations

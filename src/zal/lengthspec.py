@@ -29,9 +29,9 @@ Everything here is exact integer arithmetic except the final lengths.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
@@ -210,15 +210,19 @@ def _signed_divisors(m: int) -> Iterator[int]:
                 yield -e
 
 
-def rho_step(form: Form, D: int) -> Form:
-    """Right neighbor in the reduction cycle (preserves reducedness)."""
+def rho_step(form: Form, D: int) -> tuple[Form, Mat]:
+    """Right neighbour g in the reduction cycle and the step S = [[0,-1],[1,s]].
+
+    g is the form Q(S (x, y)); the step is defined for any form with
+    c != 0 and maps reduced forms to reduced forms.
+    """
     a, b, c = form
     tc = 2 * abs(c)
     r = isqrt(D)  # floor(sqrt(D)); b' < sqrt(D) means b' <= r
     b2 = -b % tc
     b2 += ((r - b2) // tc) * tc  # largest value <= r in the class
     c2 = (b2 * b2 - D) // (4 * c)
-    return (c, b2, c2)
+    return (c, b2, c2), (0, -1, 1, (b + b2) // (2 * c))
 
 
 def form_cycles(forms: Iterable[Form], D: int) -> list[list[Form]]:
@@ -229,13 +233,13 @@ def form_cycles(forms: Iterable[Form], D: int) -> list[list[Form]]:
         start = min(remaining)
         cyc = [start]
         remaining.discard(start)
-        cur = rho_step(start, D)
+        cur = rho_step(start, D)[0]
         while cur != start:
             if cur not in remaining:
                 raise RuntimeError(f"rho walk left the reduced set at D={D}")
             remaining.discard(cur)
             cyc.append(cur)
-            cur = rho_step(cur, D)
+            cur = rho_step(cur, D)[0]
         cycles.append(cyc)
     return cycles
 
@@ -380,24 +384,9 @@ def _entries_from_counts(counts: dict[int, int]) -> tuple[GeodesicClass, ...]:
                  for t, m in sorted(counts.items()) if m > 0)
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ZAL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def modular_spectrum(max_trace: int) -> LengthSpectrum:
     """Merged primitive spectrum of the modular surface up to trace max_trace."""
-    traces = range(3, max_trace + 1)
-    nthreads = _thread_count()
-    if nthreads > 1 and len(traces) > 8:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            per = list(pool.map(lambda t: len(ambient_classes(t)), traces))
-    else:
-        per = [len(ambient_classes(t)) for t in traces]
-    counts = {t: k for t, k in zip(traces, per)}
+    counts = {t: len(ambient_classes(t)) for t in range(3, max_trace + 1)}
     return LengthSpectrum(GroupSpec.full(), max_trace, _entries_from_counts(counts),
                           torsion_flagged=True)
 
@@ -422,8 +411,12 @@ def contains(spec: GroupSpec, M: Mat) -> bool:
     return (a % p == 1 and d % p == 1) or (a % p == p - 1 and d % p == p - 1)
 
 
+@cache
 def _coset_table(spec: GroupSpec) -> tuple[list, dict, list[Mat]]:
     """(labels, label->index, representative matrices), index m entries.
+
+    Built once per group and shared by every caller, which must not
+    mutate it.
 
     The label of a coset (Gamma g) is a right-multiplication-equivariant
     invariant of g: the matrix mod 2 for the principal level-2 group,
@@ -542,9 +535,9 @@ def coset_permutation(spec: GroupSpec, M: Mat) -> list[int]:
     return [index[_label_act(spec, lab, M)] for lab in labels]
 
 
-def _orbit_lengths(perm: list[int]) -> list[int]:
+def _orbits(perm: list[int]) -> Iterator[tuple[int, int]]:
+    """(first index, size) of each orbit of the permutation, by first index."""
     seen = [False] * len(perm)
-    out = []
     for i in range(len(perm)):
         if seen[i]:
             continue
@@ -554,8 +547,18 @@ def _orbit_lengths(perm: list[int]) -> list[int]:
             seen[j] = True
             j = perm[j]
             k += 1
-        out.append(k)
-    return out
+        yield i, k
+
+
+def _lifts(spec: GroupSpec, max_trace: int) -> Iterator[tuple[Mat, int, int, int]]:
+    """(M, first coset index, orbit size k, trace of M^k) for every coset
+    orbit of every primitive ambient class M whose lift has trace <= max_trace."""
+    for t in range(3, max_trace + 1):
+        for M in ambient_classes(t):
+            for i, k in _orbits(coset_permutation(spec, M)):
+                tk = trace_of_power(t, k)
+                if tk <= max_trace:
+                    yield M, i, k, tk
 
 
 def subgroup_spectrum(spec: GroupSpec, max_trace: int) -> LengthSpectrum:
@@ -568,13 +571,8 @@ def subgroup_spectrum(spec: GroupSpec, max_trace: int) -> LengthSpectrum:
         sp = modular_spectrum(max_trace)
         return LengthSpectrum(spec, max_trace, sp.entries, torsion_flagged=True)
     counts: dict[int, int] = {}
-    for t in range(3, max_trace + 1):
-        for M in ambient_classes(t):
-            perm = coset_permutation(spec, M)
-            for k in _orbit_lengths(perm):
-                tk = trace_of_power(t, k)
-                if tk <= max_trace:
-                    counts[tk] = counts.get(tk, 0) + 1
+    for *_, tk in _lifts(spec, max_trace):
+        counts[tk] = counts.get(tk, 0) + 1
     return LengthSpectrum(spec, max_trace, _entries_from_counts(counts),
                           torsion_flagged=not spec.torsion_free)
 
@@ -586,29 +584,14 @@ def subgroup_class_representatives(spec: GroupSpec, max_trace: int) -> dict[int,
     member label l and representative x_l, the matrix x_l M^k x_l^{-1}
     lies in the subgroup and represents one primitive class.
     """
-    labels, index, reps = _coset_table(spec)
+    reps = _coset_table(spec)[2]
     out: dict[int, list[Mat]] = {}
-    for t in range(3, max_trace + 1):
-        for M in ambient_classes(t):
-            perm = coset_permutation(spec, M)
-            seen = [False] * len(perm)
-            for i in range(len(perm)):
-                if seen[i]:
-                    continue
-                k = 0
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    k += 1
-                tk = trace_of_power(t, k)
-                if tk > max_trace:
-                    continue
-                x = reps[i]
-                W = mat_mul(mat_mul(x, mat_pow(M, k)), mat_inv(x))
-                if not contains(spec, W):
-                    raise RuntimeError("lifted representative escaped the subgroup")
-                out.setdefault(tk, []).append(W)
+    for M, i, k, tk in _lifts(spec, max_trace):
+        x = reps[i]
+        W = mat_mul(mat_mul(x, mat_pow(M, k)), mat_inv(x))
+        if not contains(spec, W):
+            raise RuntimeError("lifted representative escaped the subgroup")
+        out.setdefault(tk, []).append(W)
     return out
 
 

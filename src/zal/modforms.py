@@ -123,7 +123,8 @@ def eta_product_qexp(N: int) -> QExpansion:
     part1 = _square_sparse(_pentagonal_terms(M, 1), M)
     part11_terms = _pentagonal_terms(M, 11)
     part11 = _square_sparse(part11_terms, M)
-    assert int(np.abs(part1).max()) * int(np.abs(part11).max()) * (M // 11 + 2) < 2 ** 62
+    if int(np.abs(part1).max()) * int(np.abs(part11).max()) * (M // 11 + 2) >= 2 ** 62:
+        raise OverflowError(f"N = {N} overflows the int64 coefficient convolution")
     prod = np.zeros(M + 1, dtype=np.int64)
     for e in np.nonzero(part11)[0]:
         prod[e:] += part11[e] * part1[: M + 1 - e]
@@ -252,7 +253,7 @@ def _petersson_quadrature(coeffs: np.ndarray, panels: int, order: int,
     for xs, wx in zip(xs_all, wx_all):
         for j, x in enumerate(xs):
             y0 = math.sqrt(max(1.0 - x * x, 0.0))
-            ys, wy = _gauss_nodes(y0, y_split, panels * order // panels and order)
+            ys, wy = _gauss_nodes(y0, y_split, order)
             vals = np.array([_strip_integrand(coeffs, np.array([x]), y)[0] for y in ys])
             total += wx[j] * float(np.dot(wy, vals))
     return total + _parseval_tail(coeffs, y_split)

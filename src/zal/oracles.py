@@ -31,13 +31,15 @@ from .lengthspec import (
     M_ID,
     contains,
     form_of_matrix,
+    group_invariants,
     is_reduced,
     mat_inv,
     mat_mul,
     mat_pow,
     matrix_of_form,
     pell_fundamental,
-    reduced_forms,
+    rho_step,
+    trace_of_power,
 )
 
 __all__ = [
@@ -45,7 +47,6 @@ __all__ = [
     "gamma_conjugate",
     "enumerate_subgroup_elements",
     "bruteforce_subgroup_counts",
-    "bruteforce_modular_counts",
     "is_power_in_group",
 ]
 
@@ -90,10 +91,6 @@ def word_class_counts(max_trace: int) -> dict[int, int]:
     return {t: len(v) for t, v in sorted(classes.items())}
 
 
-def bruteforce_modular_counts(max_trace: int) -> dict[int, int]:
-    return word_class_counts(max_trace)
-
-
 # ---------------------------------------------------------------------------
 # exact conjugacy decision
 
@@ -124,17 +121,9 @@ def reduce_with_transform(form: Form) -> tuple[Form, Mat]:
     for _ in range(10_000):
         if is_reduced(cur, D):
             return cur, h
-        a, b, c = cur
-        if c == 0:
+        if cur[2] == 0:
             raise ValueError("degenerate form")
-        # rho with the explicit substitution matrix [[0,-1],[1,s]]
-        tc = 2 * abs(c)
-        r = isqrt(D)
-        b2 = (-b) % tc
-        b2 += ((r - b2) // tc) * tc
-        s = (b + b2) // (2 * c)
-        step: Mat = (0, -1, 1, s)
-        cur = subst(cur, step)
+        cur, step = rho_step(cur, D)
         h = mat_mul(h, step)
     raise RuntimeError("reduction did not terminate")
 
@@ -164,24 +153,14 @@ def ambient_conjugator(V: Mat, W: Mat) -> Mat | None:
     D = tV * tV - 4
     rV, hV = reduce_with_transform(qV)
     rW, hW = reduce_with_transform(qW)
-    # walk W's cycle until it meets rV
+    # rho permutes the reduced forms of D, so walking W's cycle either
+    # meets rV or comes back to rW
     cur, acc = rW, M_ID
-    for _ in range(4 * len(reduced_forms(D)) + 4):
-        if cur == rV:
-            break
-        a, b, c = cur
-        tc = 2 * abs(c)
-        r = isqrt(D)
-        b2 = (-b) % tc
-        b2 += ((r - b2) // tc) * tc
-        s = (b + b2) // (2 * c)
-        step: Mat = (0, -1, 1, s)
-        cur = subst(cur, step)
+    while cur != rV:
+        cur, step = rho_step(cur, D)
         acc = mat_mul(acc, step)
-    else:
-        return None
-    if cur != rV:
-        return None
+        if cur == rW:
+            return None
     # subst(qV, hV) = rV = subst(qW, hW . acc)  =>  common-axis transport
     h = mat_mul(hV, mat_inv(mat_mul(hW, acc)))
     got = mat_mul(mat_mul(mat_inv(h), V), h)
@@ -200,17 +179,16 @@ def gamma_conjugate(V: Mat, W: Mat, spec: GroupSpec) -> bool:
     if h is None:
         return False
     z = primitive_automorph(form_of_matrix(V))
-    # minimal d with z^d in Gamma; d divides the coset order of z, so it
-    # is found within the subgroup index
+    # minimal d with z^d in Gamma: two of the m + 1 cosets Gamma z^k,
+    # 0 <= k <= m, coincide, so d <= m for the subgroup index m
+    _, _, m = group_invariants(spec)
     zk = z
-    d = 1
-    for _ in range(10_000):
+    for d in range(1, m + 1):
         if contains(spec, zk):
             break
         zk = mat_mul(zk, z)
-        d += 1
     else:
-        raise RuntimeError("automorph order search exceeded bound")
+        raise RuntimeError("automorph order exceeded the subgroup index")
     x = h
     for _ in range(d):
         if contains(spec, x):
@@ -271,7 +249,6 @@ def is_power_in_group(M: Mat, spec: GroupSpec) -> bool:
     k = 2
     while True:
         # smallest possible root trace is 3; if even that overshoots, stop
-        from .lengthspec import trace_of_power
         if trace_of_power(3, k) > t:
             return False
         for s in range(3, t):

@@ -56,18 +56,6 @@ class TestSpectrum:
         run_cli(["spectrum", "--group", "gamma2", "--max-trace", "10", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_env_does_not_change_output(self, tmp_path):
-        import os
-        path1, path2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-        env = dict(os.environ, ZAL_THREADS="4")
-        subprocess.run([sys.executable, "-m", "zal", "spectrum", "--group", "full",
-                        "--max-trace", "30", "--out", str(path1)], env=env, check=True,
-                       capture_output=True)
-        subprocess.run([sys.executable, "-m", "zal", "spectrum", "--group", "full",
-                        "--max-trace", "30", "--out", str(path2)], check=True,
-                       capture_output=True)
-        assert path1.read_bytes() == path2.read_bytes()
-
 
 class TestMisc:
     def test_unknown_flag_usage(self):

@@ -63,7 +63,33 @@ class TestClassNumber:
             cycles = ls.form_cycles(forms, D)
             assert sorted(f for c in cycles for f in c) == sorted(forms)
             for cyc in cycles:
-                assert ls.rho_step(cyc[-1], D) == cyc[0]
+                assert ls.rho_step(cyc[-1], D)[0] == cyc[0]
+
+
+def _det(S):
+    return S[0] * S[3] - S[1] * S[2]
+
+
+class TestRhoStep:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=5, max_value=4000).filter(ls.is_discriminant))
+    def test_step_matrix_carries_reduced_forms(self, D):
+        for f in ls.reduced_forms(D):
+            g, S = ls.rho_step(f, D)
+            assert _det(S) == 1
+            assert oracles.subst(f, S) == g
+            assert ls.is_reduced(g, D)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(-300, 300), st.integers(-300, 300),
+                     st.integers(-300, 300))
+           .filter(lambda f: ls.is_discriminant(f[1] ** 2 - 4 * f[0] * f[2])))
+    def test_reduce_with_transform_of_any_form(self, form):
+        D = form[1] ** 2 - 4 * form[0] * form[2]
+        R, h = oracles.reduce_with_transform(form)
+        assert _det(h) == 1
+        assert oracles.subst(form, h) == R
+        assert ls.is_reduced(R, D)
 
 
 class TestModularSpectrum:
@@ -143,6 +169,14 @@ class TestSubgroupSpectrum:
         prod = {e.trace: e.multiplicity for e in ls.subgroup_spectrum(spec, 8).entries}
         assert bf == prod
 
+    @pytest.mark.parametrize("kind,p,bound", [("gamma0", 13, 80), ("gamma0", 17, 120),
+                                              ("gamma0", 23, 200), ("gamma1", 13, 400)])
+    def test_bruteforce_at_trace_14(self, kind, p, bound):
+        spec = getattr(ls.GroupSpec, kind)(p)
+        bf = oracles.bruteforce_subgroup_counts(spec, 14, bound)
+        prod = {e.trace: e.multiplicity for e in ls.subgroup_spectrum(spec, 14).entries}
+        assert bf == prod
+
     def test_lengths_are_multiples_of_ambient(self):
         amb = {e.trace: e.length for e in ls.modular_spectrum(12).entries}
         for spec in (ls.GroupSpec.principal2(), ls.GroupSpec.gamma1(11)):
@@ -166,7 +200,7 @@ class TestSubgroupSpectrum:
         for t in range(3, 9):
             for M in ls.ambient_classes(t):
                 perm = ls.coset_permutation(spec, M)
-                assert sum(ls._orbit_lengths(perm)) == m
+                assert sum(k for _, k in ls._orbits(perm)) == m
 
 
 class TestCosetTables:
@@ -180,6 +214,10 @@ class TestCosetTables:
         for lab, rep in zip(labels, reps):
             assert ls._label(spec, rep) == lab
             assert rep[0] * rep[3] - rep[1] * rep[2] == 1
+
+    def test_table_built_once_per_group(self):
+        assert ls._coset_table(ls.GroupSpec.gamma1(11)) is \
+            ls._coset_table(ls.GroupSpec.gamma1(11))
 
     def test_label_action_matches_multiplication(self):
         spec = ls.GroupSpec.gamma1(11)
