@@ -19,8 +19,8 @@ def main() -> None:
 
     f = eta_product_qexp(8000)
     sym = sym2_L_value(f, 2.0, tol=args.tol, n_terms=8000)
-    pet = petersson_norm(f, tol=1e-8)
-    hid = hida_ratio(tol=args.tol)
+    pet = petersson_norm(f, tol=min(1e-8, args.tol))
+    hid = hida_ratio(sym, pet)
     payload = {
         "conductor_hypothesis": sym.conductor,
         "fricke_eigenvalue": pet.al_sign,

@@ -218,10 +218,10 @@ def cmd_lvalue(args) -> int:
                sym.bad_beta if sym.bad_beta is not None else "trivial", EXACT)
     env.record("functional_equation_sign", sym.sign, EXACT)
     env.record("functional_equation_residual", sym.fe_residual, 0.0)
-    pet = petersson_norm(f, tol=1e-8)
+    pet = petersson_norm(f, tol=min(1e-8, args.tol))
     env.record("petersson_norm", pet.value, pet.est_error)
     env.record("fricke_eigenvalue", pet.al_sign, EXACT)
-    h = hida_ratio(tol=args.tol)
+    h = hida_ratio(sym, pet)
     env.record("hida_ratio", h.ratio, h.combined_error)
     env.record("hida_rational_guess",
                str(h.rational_guess) if h.rational_guess else None, EXACT)

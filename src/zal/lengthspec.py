@@ -131,6 +131,15 @@ class GroupSpec:
         return self.kind.value
 
 
+def _no_level(spec: GroupSpec) -> ValueError:
+    """The error for a Gamma0 / Gamma1 spec that lost its level p.
+
+    Callers test ``spec.p is None`` inline, so the coset-label functions,
+    the innermost loop of subgroup lifting, pay no extra call.
+    """
+    return ValueError(f"{spec.kind.value} spec has no level p")
+
+
 def group_invariants(spec: GroupSpec) -> tuple[int, int, int]:
     """(genus, cusps, index of the image in PSL2(Z)).
 
@@ -142,7 +151,8 @@ def group_invariants(spec: GroupSpec) -> tuple[int, int, int]:
     if spec.kind == GroupKind.PRINCIPAL2:
         return 0, 3, 6
     p = spec.p
-    assert p is not None
+    if p is None:
+        raise _no_level(spec)
     if spec.kind == GroupKind.GAMMA0:
         m = p + 1
         nu2 = 1 + (1 if p % 4 == 1 else -1)
@@ -256,16 +266,25 @@ def _primitive_cycle_reps(D: int) -> list[Form]:
 
 
 def pell_fundamental(d0: int) -> tuple[int, int]:
-    """Fundamental solution (T, U), T, U > 0, of T^2 - d0 U^2 = 4."""
+    """Fundamental solution (T, U), T, U > 0, of T^2 - d0 U^2 = 4.
+
+    The product of the rho steps once around the cycle of the principal
+    reduced form (1, b, c) is, up to sign, the generator of its
+    automorphs [[(T - bU)/2, -cU], [U, (T + bU)/2]] (Buchmann-Vollmer,
+    Binary Quadratic Forms, ch. 6; Cohen, GTM 138, 5.7).  rho permutes
+    the finitely many reduced forms of d0, so the walk ends.
+    """
     if not is_discriminant(d0):
         raise ValueError(f"{d0} is not a valid discriminant")
-    u = 1
-    while True:
-        t2 = d0 * u * u + 4
-        t = isqrt(t2)
-        if t * t == t2:
-            return t, u
-        u += 1
+    r = isqrt(d0)
+    b = r if (r - d0) % 2 == 0 else r - 1
+    start = (1, b, (b * b - d0) // 4)
+    cur, step = rho_step(start, d0)
+    M = step
+    while cur != start:
+        cur, step = rho_step(cur, d0)
+        M = mat_mul(M, step)
+    return abs(M[0] + M[3]), abs(M[2])
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +422,8 @@ def contains(spec: GroupSpec, M: Mat) -> bool:
     if spec.kind == GroupKind.PRINCIPAL2:
         return b % 2 == 0 and c % 2 == 0 and a % 2 == 1 and d % 2 == 1
     p = spec.p
-    assert p is not None
+    if p is None:
+        raise _no_level(spec)
     if c % p:
         return False
     if spec.kind == GroupKind.GAMMA0:
@@ -449,7 +469,8 @@ def _coset_table(spec: GroupSpec) -> tuple[list, dict, list[Mat]]:
             frontier = nxt
         return labels, index, reps
     p = spec.p
-    assert p is not None
+    if p is None:
+        raise _no_level(spec)
     if spec.kind == GroupKind.GAMMA0:
         labels = [(0, 1)] + [(1, j) for j in range(p)]
         reps = [M_ID] + [(0, -1, 1, j) for j in range(p)]
@@ -479,7 +500,8 @@ def _label(spec: GroupSpec, M: Mat):
     if spec.kind == GroupKind.PRINCIPAL2:
         return (a % 2, b % 2, c % 2, d % 2)
     p = spec.p
-    assert p is not None
+    if p is None:
+        raise _no_level(spec)
     cp, dp = c % p, d % p
     if spec.kind == GroupKind.GAMMA0:
         if cp == 0:
@@ -498,7 +520,8 @@ def _label_act(spec: GroupSpec, lab, M: Mat):
         return ((la * a + lb * c) % 2, (la * b + lb * d) % 2,
                 (lc * a + ld * c) % 2, (lc * b + ld * d) % 2)
     p = spec.p
-    assert p is not None
+    if p is None:
+        raise _no_level(spec)
     lc, ld = lab
     nc, nd = (lc * a + ld * c) % p, (lc * b + ld * d) % p
     if spec.kind == GroupKind.GAMMA0:
@@ -517,16 +540,21 @@ def _complete_bottom_row(c: int, d: int, p: int) -> Mat:
                 continue
             if gcd(c0, d0) == 1:
                 g, x, y = _ext_gcd(d0, -c0)
-                assert g == 1
+                if g != 1:
+                    raise ArithmeticError(f"gcd({d0}, {-c0}) = {g}, expected 1")
                 return (x, y, c0, d0)
     raise RuntimeError("could not complete bottom row")
 
 
 def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
-    if y == 0:
-        return (x, 1, 0) if x > 0 else (-x, -1, 0)
-    g, u, v = _ext_gcd(y, x % y)
-    return g, v, u - (x // y) * v
+    """(g, u, v) with u x + v y = g = gcd(x, y) >= 0, by the iterative Euclid."""
+    r0, r1, u0, u1, v0, v1 = x, y, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return (r0, u0, v0) if r0 > 0 else (-r0, -u0, -v0)
 
 
 def coset_permutation(spec: GroupSpec, M: Mat) -> list[int]:

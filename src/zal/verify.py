@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -199,22 +199,19 @@ def check_coefficient_oracles() -> CheckResult:
 def check_hida_rationality() -> CheckResult:
     sym = _sym2_cached()
     pet = modforms.petersson_norm(modforms.eta_product_qexp(8000), tol=1e-8)
-    ratio = sym.value / (math.pi ** 3 * pet.value)
-    combined = abs(ratio) * (sym.est_error / sym.value
-                             + pet.est_error / pet.value) + 1e-13
-    guess = modforms.reconstruct_rational(ratio, 10.0 * combined)
+    h = modforms.hida_ratio(sym, pet)
     # negative control perturbs the Petersson factor itself; rescaling the
     # ratio by a rational like 1001/1000 would keep it rational
-    perturbed = sym.value / (math.pi ** 3 * pet.value * (1.0 + 1e-3))
-    control = modforms.reconstruct_rational(perturbed, 10.0 * combined)
+    control = modforms.hida_ratio(sym, replace(pet, value=pet.value * (1.0 + 1e-3)))
+    guess, control_guess = h.rational_guess, control.rational_guess
     ok = (guess is not None and guess.denominator <= 10_000
-          and combined < 1e-6 and control is None)
+          and h.combined_error < 1e-6 and control_guess is None)
     return CheckResult(
         name="hida_rationality",
         passed=ok,
-        details={"ratio": ratio, "combined_error": combined,
+        details={"ratio": h.ratio, "combined_error": h.combined_error,
                  "rational_guess": str(guess) if guess else None,
-                 "negative_control_guess": str(control) if control else None},
+                 "negative_control_guess": str(control_guess) if control_guess else None},
     )
 
 

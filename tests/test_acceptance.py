@@ -17,9 +17,9 @@ BUDGETS = {
     "length_spectra_bruteforce": 60.0,
     "selberg_euler_product": 30.0,
     "coefficient_cross_oracle": 10.0,
-    "hida_rationality": 300.0,
+    "hida_rationality": 30.0,
     "exponent_ledger": 60.0,
-    "sym2_functional_equation": 300.0,
+    "sym2_functional_equation": 10.0,
 }
 
 

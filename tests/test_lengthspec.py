@@ -266,3 +266,124 @@ class TestConjugacyOracle:
                 if oracles.ambient_conjugator(reps[i], reps[j]) is not None:
                     found_pair = True
         assert found_pair
+
+
+def _pell_linear(d0, u_max):
+    """The former pell_fundamental: first U <= u_max with d0 U^2 + 4 square."""
+    for u in range(1, u_max + 1):
+        t = math.isqrt(d0 * u * u + 4)
+        if t * t == d0 * u * u + 4:
+            return t, u
+    return None
+
+
+def _iroot(n, k):
+    """floor(n ** (1/k)) for integers n >= 1, by Newton's method."""
+    x = 1 << (n.bit_length() // k + 1)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _is_proper_power(d0, T):
+    """True if (T + U sqrt d0)/2 is the k-th power, k >= 2, of a smaller unit
+    of trace t with t^2 - d0 u^2 = 4 (traces: T = trace_of_power(t, k))."""
+    k = 2
+    while ls.trace_of_power(3, k) <= T:  # 3 is the smallest hyperbolic trace
+        if ls._is_prime(k):
+            r = _iroot(T, k)
+            for t in (r - 1, r, r + 1):
+                if t >= 3 and ls.trace_of_power(t, k) == T and (t * t - 4) % d0 == 0:
+                    q = (t * t - 4) // d0
+                    if math.isqrt(q) ** 2 == q:
+                        return True
+        k += 1
+    return False
+
+
+class TestPell:
+    LINEAR_CAP = 2000
+
+    def test_matches_linear_search_below_3000(self):
+        # the linear search is the oracle wherever it terminates within the
+        # cap; beyond the cap it must find nothing, and minimality is checked
+        # by ruling out every proper power of a smaller unit
+        beyond = 0
+        for d0 in range(5, 3000):
+            if not ls.is_discriminant(d0):
+                continue
+            T, U = ls.pell_fundamental(d0)
+            assert T > 0 and U > 0 and T * T - d0 * U * U == 4
+            if U <= self.LINEAR_CAP:
+                assert _pell_linear(d0, U) == (T, U), d0
+            else:
+                beyond += 1
+                assert _pell_linear(d0, self.LINEAR_CAP) is None, d0
+                assert not _is_proper_power(d0, T), d0
+        assert beyond > 0
+
+    def test_proper_power_oracle_detects_squares(self):
+        for d0 in (5, 12, 21, 61, 244):
+            T, U = ls.pell_fundamental(d0)
+            assert _is_proper_power(d0, ls.trace_of_power(T, 2))
+            assert _is_proper_power(d0, ls.trace_of_power(T, 3))
+
+    def test_large_fundamental_unit(self):
+        import time
+        t0 = time.perf_counter()
+        T, U = ls.pell_fundamental(244)
+        assert time.perf_counter() - t0 < 1.0
+        assert T * T - 244 * U * U == 4
+        assert U == 226153980
+
+    def test_rejects_non_discriminant(self):
+        with pytest.raises(ValueError):
+            ls.pell_fundamental(16)
+
+
+def _ext_gcd_recursive(x, y):
+    if y == 0:
+        return (x, 1, 0) if x > 0 else (-x, -1, 0)
+    g, u, v = _ext_gcd_recursive(y, x % y)
+    return g, v, u - (x // y) * v
+
+
+class TestGuards:
+    """Explicit errors that hold under python -O, where assert is removed."""
+
+    @staticmethod
+    def _levelless(kind):
+        spec = ls.GroupSpec.gamma0(11) if kind == "gamma0" else ls.GroupSpec.gamma1(11)
+        object.__setattr__(spec, "p", None)  # bypass the constructor's check
+        return spec
+
+    @pytest.mark.parametrize("call", [
+        lambda s: ls.group_invariants(s),
+        lambda s: ls.contains(s, (1, 0, 0, 1)),
+        lambda s: ls._coset_table(s),
+        lambda s: ls._label(s, (1, 0, 0, 1)),
+        lambda s: ls._label_act(s, (0, 1), (1, 0, 0, 1)),
+    ], ids=["group_invariants", "contains", "coset_table", "label", "label_act"])
+    @pytest.mark.parametrize("kind", ["gamma0", "gamma1"])
+    def test_levelless_spec_raises(self, call, kind):
+        with pytest.raises(ValueError, match=kind):
+            call(self._levelless(kind))
+
+    def test_bottom_row_rejects_inconsistent_gcd(self, monkeypatch):
+        monkeypatch.setattr(ls, "_ext_gcd", lambda x, y: (2, 0, 0))
+        with pytest.raises(ArithmeticError):
+            ls._complete_bottom_row(1, 2, 11)
+
+    def test_ext_gcd_has_no_recursion_limit(self):
+        a, b = 1, 1
+        for _ in range(5000):  # consecutive Fibonacci numbers: 5000 Euclid steps
+            a, b = b, a + b
+        g, u, v = ls._ext_gcd(b, a)
+        assert g == 1 and u * b + v * a == 1
+
+    @settings(max_examples=300)
+    @given(st.integers(-10 ** 9, 10 ** 9), st.integers(-10 ** 9, 10 ** 9))
+    def test_ext_gcd_matches_recursive(self, x, y):
+        assert ls._ext_gcd(x, y) == _ext_gcd_recursive(x, y)

@@ -84,8 +84,8 @@ def sym():
 
 
 @pytest.fixture(scope="module")
-def hida():
-    return mf.hida_ratio(tol=1e-6, n_terms=8000)
+def hida(sym, pet):
+    return mf.hida_ratio(sym, pet)
 
 
 class TestPetersson:
@@ -105,6 +105,25 @@ class TestPetersson:
         coeffs = np.array(F600.coeffs[:400], dtype=float)
         alt = _petersson_quadrature(coeffs, panels=8, order=16, y_split=1.6)
         assert alt == pytest.approx(pet.value, abs=1e-10)
+
+    def test_vectorised_mesh_matches_node_loop(self):
+        # reference: the per-node double loop the vectorised rule replaced
+        from zal.modforms import (_gauss_nodes, _parseval_tail, _petersson_quadrature,
+                                  _strip_integrand)
+        coeffs = np.array(F600.coeffs[:120], dtype=float)
+        panels, order, y_split = 3, 8, 1.25
+        total = 0.0
+        for i in range(panels):
+            a = -0.5 + i / panels
+            xs, wx = _gauss_nodes(a, a + 1.0 / panels, order)
+            for j, x in enumerate(xs):
+                y0 = math.sqrt(max(1.0 - x * x, 0.0))
+                ys, wy = _gauss_nodes(y0, y_split, order)
+                vals = np.array([_strip_integrand(coeffs, np.array([x]), y)[0] for y in ys])
+                total += wx[j] * float(np.dot(wy, vals))
+        total += _parseval_tail(coeffs, y_split)
+        got = _petersson_quadrature(coeffs, panels, order, y_split)
+        assert abs(got - total) <= 1e-13 * total
 
     def test_zero_form_integrates_to_zero(self):
         from zal.modforms import _parseval_tail, _strip_integrand
@@ -141,6 +160,36 @@ class TestSym2Local:
 class TestSym2LValue:
     def test_positive_value(self, sym):
         assert sym.value > 0
+
+    def test_value_unchanged_by_batched_scoring(self, sym):
+        # L(2, Sym^2 f) at 8000 terms from the per-hypothesis evaluation
+        # that preceded the one-pass scoring
+        assert (sym.conductor, sym.bad_beta, sym.sign, sym.rejected) == (121, 1, 1, 19)
+        assert abs(sym.value - 1.0575992578544562) <= sym.est_error
+
+    def test_winner_separated_from_runner_up(self):
+        from zal.modforms import _score_hypotheses
+        scored = _score_hypotheses(mf.eta_product_qexp(8000), 2.0, 8000)
+        assert len(scored) == 20
+        assert [r[0] for r in scored] == sorted(r[0] for r in scored)
+        assert 100 * scored[0][0] <= scored[1][0]
+
+    @pytest.mark.parametrize("chunk", [4096, 128])  # one block; four, the last ragged
+    def test_batched_moments_match_plain_sums(self, chunk, monkeypatch):
+        from zal.modforms import (_BAD_CANDIDATES, _contour, _dirichlet_moments,
+                                  _sym2_dirichlet_coeffs)
+        monkeypatch.setattr(mf, "_CHUNK", chunk)
+        N = 500
+        f = mf.eta_product_qexp(N)
+        cs = np.array([_sym2_dirichlet_coeffs(f, N, beta) for beta in _BAD_CANDIDATES])
+        s0s = (2.0, 1.0)
+        got = _dirichlet_moments(cs, s0s)
+        z, _ = _contour()
+        n = np.arange(1, N + 1, dtype=float)
+        for k, s0 in enumerate(s0s):
+            for r, c in enumerate(cs):
+                want = np.array([np.sum(c[1:] * n ** (-s0 - zj)) for zj in z])
+                assert np.max(np.abs(got[k, r] - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_unique_hypothesis(self, sym):
         assert sym.rejected == 19
