@@ -38,9 +38,12 @@ from fractions import Fraction
 from .lengthspec import GroupKind, GroupSpec, group_invariants
 from .specfun import SpecialConstants
 from .tautconst import (
+    LOGG2,
+    LOGPI,
+    ONE,
+    ZP1,
     LogLinearForm,
     SurfaceType,
-    TranscendenceVector,
     log_C_form,
     log_E_form,
     reduce_form,
@@ -98,7 +101,7 @@ def _admissible_provenance(spec: GroupSpec, what: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ArithDegree:
-    vector: TranscendenceVector
+    vector: LogLinearForm
     numeric: float | None
     provenance: tuple[str, ...] = ()
 
@@ -129,7 +132,7 @@ def adeg_trivial_bundle(C: float, form: LogLinearForm,
     numeric = None
     if constants is not None:
         numeric = vec.evaluate(constants)
-    elif vec == TranscendenceVector():
+    elif vec == LogLinearForm():
         numeric = 0.0
     return ArithDegree(vector=vec, numeric=numeric,
                        provenance=("trivial bundle, norm constant",))
@@ -144,9 +147,9 @@ def adeg_lambda_L2(spec: GroupSpec, l_value: float | None = None) -> ArithDegree
     """
     g, _, _ = group_invariants(spec)
     if g == 0:
-        return ArithDegree(vector=TranscendenceVector(), numeric=0.0,
+        return ArithDegree(vector=LogLinearForm(), numeric=0.0,
                            provenance=("determinant line, empty eigenbasis",))
-    vec = TranscendenceVector(c_logpi=Rat(2 * g), l_slots=((_slot_label(spec), Rat(-1)),))
+    vec = LogLinearForm({LOGPI: 2 * g, _slot_label(spec): -1})
     numeric = None
     if l_value is not None:
         numeric = 2 * g * math.log(math.pi) - math.log(l_value)
@@ -163,7 +166,7 @@ def adeg_psi_W(spec: GroupSpec) -> ArithDegree:
     qualify, the latter flagged as an anchor-certified extension.
     """
     prov = _admissible_provenance(spec, "cusp cotangent lines, leading q-coefficients")
-    return ArithDegree(vector=TranscendenceVector(), numeric=0.0, provenance=prov)
+    return ArithDegree(vector=LogLinearForm(), numeric=0.0, provenance=prov)
 
 
 def self_intersection(spec: GroupSpec) -> ArithDegree:
@@ -175,7 +178,7 @@ def self_intersection(spec: GroupSpec) -> ArithDegree:
 
 def self_intersection_form(spec: GroupSpec) -> LogLinearForm:
     _, _, m = group_invariants(spec)
-    return LogLinearForm(c_one=Rat(-m, 3), c_zp1=Rat(8 * m))
+    return LogLinearForm({ONE: Rat(-m, 3), ZP1: 8 * m})
 
 
 def assemble_log_zprime(spec: GroupSpec, constants: SpecialConstants,
@@ -198,7 +201,7 @@ def assemble_log_zprime(spec: GroupSpec, constants: SpecialConstants,
     vec = vec + lam.vector.scale(-1)  # psi term is exactly zero
     slot_values = None
     numeric = None
-    if not vec.l_slots:
+    if not vec.slots():
         numeric = vec.evaluate(constants)
     elif l_value is not None:
         slot_values = {_slot_label(spec): l_value}
@@ -235,22 +238,18 @@ def special_value_exponents(spec: GroupSpec,
     """
     g, n, m = group_invariants(spec)
     deg = assemble_log_zprime(spec, constants)
-    a, b, c = deg.vector.c_one, deg.vector.c_logpi, deg.vector.c_logGamma2half
+    a, b, c = deg.vector[ONE], deg.vector[LOGPI], deg.vector[LOGG2]
     if (a, b, c) != closed_form_exponents(g, n, m):
         raise ArithmeticError(
             f"ledger exponents {(a, b, c)} disagree with closed forms "
             f"{closed_form_exponents(g, n, m)}"
         )
-    slots = dict(deg.vector.l_slots)
-    if g >= 1:
-        l_exp = slots.get(_slot_label(spec), Rat(0))
-        if l_exp != 1:
-            raise ArithmeticError(f"L-slot exponent {l_exp} != 1")
-    else:
-        if slots:
-            raise ArithmeticError("genus-0 assembly grew an L-slot")
-        l_exp = Rat(0)
-    return SpecialValueExponents(a=a, b=b, c=c, l_exponent=l_exp, group=spec)
+    slots = dict(deg.vector.slots())
+    want = {_slot_label(spec): Rat(1)} if g >= 1 else {}
+    if slots != want:
+        raise ArithmeticError(f"L-slot exponents {slots} != {want}")
+    return SpecialValueExponents(a=a, b=b, c=c, l_exponent=deg.vector[_slot_label(spec)],
+                                 group=spec)
 
 
 def predict_zprime(spec: GroupSpec, constants: SpecialConstants,

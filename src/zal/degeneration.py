@@ -34,7 +34,6 @@ __all__ = [
     "wolpert_length",
     "star_graph_uniform",
     "star_graph_perturbed",
-    "star_matrix",
     "matrix_A",
     "matrix_B",
     "graph_spectrum",
@@ -101,22 +100,17 @@ def star_graph_perturbed(g: int, n: int, t: float, seed: int = 0) -> StarGraphMo
     return StarGraphModel(g=g, n=n, edge_lengths=lengths)
 
 
-def star_matrix(alpha: float, edge_lengths: tuple[float, ...]) -> np.ndarray:
-    """Star operator for an arbitrary hub mass (display-level constructor)."""
-    n = len(edge_lengths)
-    l = np.asarray(edge_lengths, dtype=float)
-    M = np.zeros((n + 1, n + 1))
+def matrix_A(model: StarGraphModel) -> np.ndarray:
+    """The operator matrix in the dual vertex basis."""
+    alpha = float(model.alpha)
+    l = np.asarray(model.edge_lengths, dtype=float)
+    M = np.zeros((model.n + 1, model.n + 1))
     M[0, 0] = l.sum() / alpha
     M[0, 1:] = -l / alpha
-    for j in range(1, n + 1):
+    for j in range(1, model.n + 1):
         M[j, 0] = -l[j - 1]
         M[j, j] = l[j - 1]
     return M
-
-
-def matrix_A(model: StarGraphModel) -> np.ndarray:
-    """The operator matrix in the dual vertex basis."""
-    return star_matrix(float(model.alpha), model.edge_lengths)
 
 
 def matrix_B(model: StarGraphModel) -> np.ndarray:

@@ -317,13 +317,16 @@ def sym2_local_poly(ell: int, a_ell: int) -> Sym2LocalFactor:
     return Sym2LocalFactor(ell=ell, poly_coeffs=(1, -e1, ell * e1, -ell ** 3))
 
 
-def _sym2_dirichlet_coeffs(f: QExpansion, N: int, bad_beta: int | None,
-                           prime_cap: int | None = None) -> np.ndarray:
-    """c_n of L(s, Sym^2 f) = sum c_n n^-s up to N, multiplicative fill.
+def _sym2_coeff_rows(f: QExpansion, N: int, bad_betas: tuple[int | None, ...],
+                     prime_cap: int | None = None) -> np.ndarray:
+    """c_0 .. c_N of L(s, Sym^2 f) = sum c_n n^-s, one row per bad factor.
 
-    ``bad_beta`` is the reciprocal root of the degree-1 factor at the
-    level (None = trivial factor).  ``prime_cap`` truncates the Euler
-    product for the truncation study.
+    Each beta is the reciprocal root of the degree-1 factor at the level
+    (None = trivial factor).  The multiplicative fill runs once with
+    root 1; row beta is beta^v(n) c_n, v the valuation at the level.
+    The entries are integers below 2^15 up to 8000 terms, so every
+    product is exact while they stay below 2^53.
+    ``prime_cap`` truncates the Euler product for the truncation study.
     """
     spf = np.zeros(N + 1, dtype=np.int64)
     for p in range(2, N + 1):
@@ -340,8 +343,7 @@ def _sym2_dirichlet_coeffs(f: QExpansion, N: int, bad_beta: int | None,
             powers[p] = [1.0] + [0.0] * kmax
             continue
         if p == f.level:
-            beta = 0 if bad_beta is None else bad_beta
-            powers[p] = [float(beta) ** k for k in range(kmax + 1)]
+            powers[p] = [1.0] * (kmax + 1)
             continue
         e1 = f.a(p) ** 2 - p
         e2 = p * e1
@@ -357,7 +359,18 @@ def _sym2_dirichlet_coeffs(f: QExpansion, N: int, bad_beta: int | None,
             m //= p
             k += 1
         c[n] = powers[p][k] * c[m]
-    return c
+    v = np.zeros(N + 1, dtype=np.int64)
+    q = f.level
+    while q <= N:
+        v[q::q] += 1
+        q *= f.level
+    return np.array([c * np.power(float(beta or 0), v) for beta in bad_betas])
+
+
+def _sym2_dirichlet_coeffs(f: QExpansion, N: int, bad_beta: int | None,
+                           prime_cap: int | None = None) -> np.ndarray:
+    """The ``_sym2_coeff_rows`` row of a single bad factor."""
+    return _sym2_coeff_rows(f, N, (bad_beta,), prime_cap)[0]
 
 
 def _gamma_completed(s):
@@ -456,7 +469,7 @@ def _score_hypotheses(f: QExpansion, s: float,
     on (bad factor, s0), so one pass over n serves all 20 hypotheses;
     each is then two contour dots per cutoff.
     """
-    cs = np.array([_sym2_dirichlet_coeffs(f, n_terms, beta) for beta in _BAD_CANDIDATES])
+    cs = _sym2_coeff_rows(f, n_terms, _BAD_CANDIDATES)
     moments = _dirichlet_moments(cs, (s, 3.0 - s))
     results = []
     for cond in (LEVEL, LEVEL ** 2):

@@ -7,12 +7,12 @@ with kappa = 2g - 2 + n:
     log E(g,n) = ((g+2-n)/3) log 2 - (n/2) log pi
                  + kappa * (2 zeta'(-1) - 1/4 + (1/2) log(2 pi))
 
-Every constant is carried both as a float and as a ``LogLinearForm``:
-an exact rational vector over the basis {1, log 2, log pi, zeta'(-1)}
-plus symbolic L-value slots.  ``reduce`` projects a form to a
-``TranscendenceVector`` over {1, log pi, log Gamma2(1/2)} by dropping
-log 2 (2 is algebraic, so log 2 dies modulo log|Qbar^x|) and
-substituting
+Every constant is carried both as a float and as a ``LogLinearForm``, an
+exact sparse rational vector over the basis ONE = 1, LOG2 = log 2,
+LOGPI = log pi, ZP1 = zeta'(-1), LOGG2 = log Gamma2(1/2); any other name
+is an L-value slot standing for log L.  ``reduce_form`` reads a vector
+modulo log|Qbar^x| through one substitution table: log 2 dies (2 is
+algebraic) and
 
     zeta'(-1)  ->  (1/6) log pi - (2/3) log Gamma2(1/2),
 
@@ -32,7 +32,11 @@ from .specfun import SpecialConstants
 __all__ = [
     "SurfaceType",
     "LogLinearForm",
-    "TranscendenceVector",
+    "ONE",
+    "LOG2",
+    "LOGPI",
+    "ZP1",
+    "LOGG2",
     "const_C",
     "const_E",
     "quillen_scale",
@@ -41,7 +45,22 @@ __all__ = [
 ]
 
 Rat = Fraction
+_ZERO = Rat(0)
 _LOG2 = math.log(2.0)
+
+ONE = "1"
+LOG2 = "log 2"
+LOGPI = "log pi"
+ZP1 = "zeta'(-1)"
+LOGG2 = "log Gamma2(1/2)"
+# Evaluation order of the basis; slots follow in name order.
+_BASIS = (ONE, LOG2, LOGPI, ZP1, LOGG2)
+
+# reduce_form's substitution table: name -> its image; unlisted names are fixed.
+_REDUCTION: dict[str, dict[str, Rat]] = {
+    LOG2: {},
+    ZP1: {LOGPI: Rat(1, 6), LOGG2: Rat(-2, 3)},
+}
 
 
 class StabilityError(ValueError):
@@ -64,132 +83,85 @@ class SurfaceType:
         return 2 * self.g - 2 + self.n
 
 
-def _as_slots(slots) -> tuple[tuple[str, Rat], ...]:
-    out = tuple(sorted((lab, Rat(c)) for lab, c in dict(slots or {}).items() if c != 0))
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LogLinearForm:
-    """Exact rational vector over {1, log 2, log pi, zeta'(-1)} + L slots."""
+    """Exact rational vector: sum of coefficient * name over basis names and L slots.
 
-    c_one: Rat = Rat(0)
-    c_log2: Rat = Rat(0)
-    c_logpi: Rat = Rat(0)
-    c_zp1: Rat = Rat(0)
-    l_slots: tuple[tuple[str, Rat], ...] = ()
+    ``terms`` is the sorted tuple of (name, Fraction) pairs; zero
+    coordinates are not stored.  ``v[name]`` is a coordinate (0 when
+    absent) and ``slots()`` the L-value slot coordinates.  The basis
+    elements are *treated* as Q-linearly independent mod log|Qbar^x|
+    (actual independence is conjectural, which downstream reports flag).
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c_one", Rat(self.c_one))
-        object.__setattr__(self, "c_log2", Rat(self.c_log2))
-        object.__setattr__(self, "c_logpi", Rat(self.c_logpi))
-        object.__setattr__(self, "c_zp1", Rat(self.c_zp1))
-        object.__setattr__(self, "l_slots", _as_slots(dict(self.l_slots)))
+    terms: tuple[tuple[str, Rat], ...]
+
+    def __init__(self, coords: Mapping[str, object] | None = None) -> None:
+        pairs = sorted((name, Rat(c)) for name, c in (coords or {}).items())
+        index = {name: c for name, c in pairs if c}
+        object.__setattr__(self, "terms", tuple(index.items()))
+        object.__setattr__(self, "_index", index)
+
+    def __getitem__(self, name: str) -> Rat:
+        return self._index.get(name, _ZERO)
+
+    def slots(self) -> tuple[tuple[str, Rat], ...]:
+        return tuple((name, c) for name, c in self.terms if name not in _BASIS)
 
     def __add__(self, other: "LogLinearForm") -> "LogLinearForm":
-        slots = dict(self.l_slots)
-        for lab, c in other.l_slots:
-            slots[lab] = slots.get(lab, Rat(0)) + c
-        return LogLinearForm(self.c_one + other.c_one, self.c_log2 + other.c_log2,
-                             self.c_logpi + other.c_logpi, self.c_zp1 + other.c_zp1,
-                             tuple(slots.items()))
-
-    def __sub__(self, other: "LogLinearForm") -> "LogLinearForm":
-        return self + other.scale(-1)
+        out = dict(self._index)
+        for name, c in other.terms:
+            out[name] = out.get(name, _ZERO) + c
+        return LogLinearForm(out)
 
     def scale(self, q) -> "LogLinearForm":
         q = Rat(q)
-        return LogLinearForm(q * self.c_one, q * self.c_log2, q * self.c_logpi,
-                             q * self.c_zp1, tuple((lab, q * c) for lab, c in self.l_slots))
+        return LogLinearForm({name: q * c for name, c in self.terms})
 
     def evaluate(self, constants: SpecialConstants,
                  slot_values: Mapping[str, float] | None = None) -> float:
-        """Numeric value of the form; slot exponents need log-values supplied."""
-        total = float(self.c_one) + float(self.c_log2) * _LOG2 \
-            + float(self.c_logpi) * constants.log_pi \
-            + float(self.c_zp1) * constants.zeta_prime_minus1
-        for lab, c in self.l_slots:
-            if slot_values is None or lab not in slot_values:
-                raise KeyError(f"no numeric value supplied for slot {lab!r}")
-            total += float(c) * math.log(slot_values[lab])
+        """Numeric value of the form; slot names need their L-values supplied."""
+        basis = (1.0, _LOG2, constants.log_pi, constants.zeta_prime_minus1,
+                 constants.log_gamma2_half)
+        total = 0.0
+        for name, value in zip(_BASIS, basis):
+            if name in self._index:
+                total += float(self._index[name]) * value
+        for name, c in self.slots():
+            if slot_values is None or name not in slot_values:
+                raise KeyError(f"no numeric value supplied for slot {name!r}")
+            total += float(c) * math.log(slot_values[name])
         return total
 
 
-@dataclass(frozen=True)
-class TranscendenceVector:
-    """Class of a real number modulo log|Qbar^x|.
-
-    Coordinates over the formal basis {1, log pi, log Gamma2(1/2)} plus
-    symbolic L-value slots; the basis elements are *treated* as
-    Q-linearly independent mod log|Qbar^x| (actual independence is
-    conjectural, which downstream reports flag).
-    """
-
-    c_one: Rat = Rat(0)
-    c_logpi: Rat = Rat(0)
-    c_logGamma2half: Rat = Rat(0)
-    l_slots: tuple[tuple[str, Rat], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c_one", Rat(self.c_one))
-        object.__setattr__(self, "c_logpi", Rat(self.c_logpi))
-        object.__setattr__(self, "c_logGamma2half", Rat(self.c_logGamma2half))
-        object.__setattr__(self, "l_slots", _as_slots(dict(self.l_slots)))
-
-    def __add__(self, other: "TranscendenceVector") -> "TranscendenceVector":
-        slots = dict(self.l_slots)
-        for lab, c in other.l_slots:
-            slots[lab] = slots.get(lab, Rat(0)) + c
-        return TranscendenceVector(self.c_one + other.c_one,
-                                   self.c_logpi + other.c_logpi,
-                                   self.c_logGamma2half + other.c_logGamma2half,
-                                   tuple(slots.items()))
-
-    def scale(self, q) -> "TranscendenceVector":
-        q = Rat(q)
-        return TranscendenceVector(q * self.c_one, q * self.c_logpi,
-                                   q * self.c_logGamma2half,
-                                   tuple((lab, q * c) for lab, c in self.l_slots))
-
-    def evaluate(self, constants: SpecialConstants,
-                 slot_values: Mapping[str, float] | None = None) -> float:
-        total = float(self.c_one) + float(self.c_logpi) * constants.log_pi \
-            + float(self.c_logGamma2half) * constants.log_gamma2_half
-        for lab, c in self.l_slots:
-            if slot_values is None or lab not in slot_values:
-                raise KeyError(f"no numeric value supplied for slot {lab!r}")
-            total += float(c) * math.log(slot_values[lab])
-        return total
-
-
-def reduce_form(form: LogLinearForm) -> TranscendenceVector:
-    """Project to the mod-log|Qbar^x| basis.
+def reduce_form(form: LogLinearForm) -> LogLinearForm:
+    """Read a form modulo log|Qbar^x|, through the table ``_REDUCTION``.
 
     Drops log 2 and rewrites zeta'(-1) as (1/6) log pi - (2/3) log
-    Gamma2(1/2); exact rational arithmetic throughout, hence linear.
+    Gamma2(1/2); every other name maps to itself, so the map is linear,
+    exact, and the identity on its image.
     """
-    return TranscendenceVector(
-        c_one=form.c_one,
-        c_logpi=form.c_logpi + form.c_zp1 * Rat(1, 6),
-        c_logGamma2half=form.c_zp1 * Rat(-2, 3),
-        l_slots=form.l_slots,
-    )
+    out: dict[str, Rat] = {}
+    for name, c in form.terms:
+        for target, q in _REDUCTION.get(name, {name: 1}).items():
+            out[target] = out.get(target, _ZERO) + q * c
+    return LogLinearForm(out)
 
 
 def log_C_form(t: SurfaceType) -> LogLinearForm:
     k = t.kappa
     # zeta'(-1)/zeta(-1) = -12 zeta'(-1), with zeta(-1) = -1/12 exact
-    return LogLinearForm(c_one=Rat(k, 2), c_zp1=Rat(-12 * k))
+    return LogLinearForm({ONE: Rat(k, 2), ZP1: -12 * k})
 
 
 def log_E_form(t: SurfaceType) -> LogLinearForm:
     k = t.kappa
-    return LogLinearForm(
-        c_one=Rat(-k, 4),
-        c_log2=Rat(t.g + 2 - t.n, 3) + Rat(k, 2),
-        c_logpi=Rat(-t.n, 2) + Rat(k, 2),
-        c_zp1=Rat(2 * k),
-    )
+    return LogLinearForm({
+        ONE: Rat(-k, 4),
+        LOG2: Rat(t.g + 2 - t.n, 3) + Rat(k, 2),
+        LOGPI: Rat(-t.n, 2) + Rat(k, 2),
+        ZP1: 2 * k,
+    })
 
 
 def const_C(t: SurfaceType, constants: SpecialConstants) -> tuple[float, LogLinearForm]:

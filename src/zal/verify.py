@@ -74,7 +74,7 @@ def check_taut_relations() -> CheckResult:
             worst = max(worst, abs(e0 / (math.pi ** n * eg * e11 ** n) - 1.0))
             exact_ok &= (c0f == cf + c11f.scale(n))
             exact_ok &= (e0f == ef + e11f.scale(n)
-                         + tautconst.LogLinearForm(c_logpi=Fraction(n)))
+                         + tautconst.LogLinearForm({tautconst.LOGPI: n}))
             pairs += 1
     return CheckResult(
         name="taut_relations",

@@ -6,7 +6,7 @@ import pytest
 from zal import arakelov as ak
 from zal.lengthspec import GroupSpec
 from zal.specfun import compute_constants
-from zal.tautconst import LogLinearForm, SurfaceType, log_C_form, reduce_form
+from zal.tautconst import LOGPI, ONE, ZP1, LogLinearForm, SurfaceType, log_C_form, reduce_form
 
 SC = compute_constants()
 L11 = 1.0575992578544577  # level-11 symmetric-square value at the edge (regression)
@@ -37,8 +37,8 @@ class TestTrivialBundle:
 class TestLambdaL2:
     def test_gamma0_11_vector(self):
         d = ak.adeg_lambda_L2(GroupSpec.gamma0(11), l_value=L11)
-        assert d.vector.c_logpi == F(2)
-        assert dict(d.vector.l_slots) == {"L(0,M[gamma0(11)])": F(-1)}
+        assert d.vector[LOGPI] == F(2)
+        assert dict(d.vector.slots()) == {"L(0,M[gamma0(11)])": F(-1)}
         assert d.numeric == pytest.approx(-math.log(math.pi ** -2 * L11))
         d.check_coherence(SC, {"L(0,M[gamma0(11)])": L11})
 
@@ -74,11 +74,11 @@ class TestPsiW:
 class TestSelfIntersection:
     def test_gamma0_11_preform(self):
         f = ak.self_intersection_form(GroupSpec.gamma0(11))
-        assert (f.c_zp1, f.c_one) == (F(96), F(-4))
+        assert f == LogLinearForm({ZP1: F(96), ONE: F(-4)})
 
     def test_principal2_preform(self):
         f = ak.self_intersection_form(GroupSpec.principal2())
-        assert (f.c_zp1, f.c_one) == (F(48), F(-2))
+        assert f == LogLinearForm({ZP1: F(48), ONE: F(-2)})
 
     @pytest.mark.parametrize("spec", [GroupSpec.principal2(), GroupSpec.gamma0(11),
                                       GroupSpec.gamma1(11)])
@@ -113,6 +113,15 @@ class TestAssembly:
         assert (e.a, e.b, e.c) == ak.closed_form_exponents(g, n, m)
         assert e.c == F(-4 * m, 9)
 
+    @pytest.mark.parametrize("extra", [{"L(0,M[gamma0(11)])": 1}, {"L(0,M[other])": 1}])
+    def test_unexpected_slots_rejected(self, extra, monkeypatch):
+        spec = GroupSpec.gamma0(11)
+        deg = ak.assemble_log_zprime(spec, SC)
+        bad = ak.ArithDegree(vector=deg.vector + LogLinearForm(extra), numeric=None)
+        monkeypatch.setattr(ak, "assemble_log_zprime", lambda *args: bad)
+        with pytest.raises(ArithmeticError, match="L-slot"):
+            ak.special_value_exponents(spec, SC)
+
     def test_ledger_linearity(self):
         # substituting the L-value before or after assembly is the same
         spec = GroupSpec.gamma0(11)
@@ -126,7 +135,7 @@ class TestAssembly:
         for spec in (GroupSpec.principal2(), GroupSpec.gamma1(11)):
             deg = ak.assemble_log_zprime(spec, SC, l_value=L11)
             slot = {f"L(0,M[{spec.label()}])": L11}
-            deg.check_coherence(SC, slot if deg.vector.l_slots else None, tol=1e-9)
+            deg.check_coherence(SC, slot if deg.vector.slots() else None, tol=1e-9)
 
 
 class TestPrediction:

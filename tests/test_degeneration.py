@@ -32,10 +32,11 @@ class TestMatrices:
         assert np.allclose(dg.matrix_A(m), [[1, -1], [-1, 1]])
 
     def test_display_first_row_alpha3(self):
-        M = dg.star_matrix(3.0, (1.0, 2.0))
-        assert np.allclose(M[0], [1.0, -1 / 3, -2 / 3])
-        assert np.allclose(M[1], [-1.0, 1.0, 0.0])
-        assert np.allclose(M[2], [-2.0, 0.0, 2.0])
+        M = dg.matrix_A(dg.StarGraphModel(g=1, n=3, edge_lengths=(1.0, 2.0, 3.0)))
+        assert np.allclose(M[0], [2.0, -1 / 3, -2 / 3, -1.0])
+        assert np.allclose(M[1], [-1.0, 1.0, 0.0, 0.0])
+        assert np.allclose(M[2], [-2.0, 0.0, 2.0, 0.0])
+        assert np.allclose(M[3], [-3.0, 0.0, 0.0, 3.0])
 
     def test_constants_in_kernel(self):
         m = dg.StarGraphModel(g=2, n=4, edge_lengths=(0.3, 0.7, 1.1, 0.2))

@@ -3,8 +3,9 @@
 Each file under ``tests/golden`` is the complete stdout of one ``zal``
 invocation (for ``spectrum``: the CSV followed by the JSON envelope).
 A refactor that changes any byte of these reports changes behaviour.
-The floating-point ``lvalue`` report is held to its own error bounds
-instead of to its bytes.
+The floating-point reports of the level-11 pipeline (``lvalue``, and
+``theoremB`` at level 11, which computes the L-value itself) are held to
+their own error bounds instead of to their bytes.
 """
 
 import json
@@ -29,6 +30,15 @@ CASES = {
                                     "--max-trace", "25"],
     "theoremB_gamma2.json": ["theoremB", "--group", "gamma2"],
     "theoremB_gamma0_p23.json": ["theoremB", "--group", "gamma0", "--p", "23"],
+    "constants_check.json": ["constants", "check"],
+    "degenerate_g1_n3_sweep.txt": ["degenerate", "--g", "1", "--n", "3", "--t", "1e-4",
+                                   "--sweep"],
+}
+
+# Reports with floating-point results computed by the level-11 pipeline.
+BOUNDED = {
+    "lvalue.json": ["lvalue"],
+    "theoremB_gamma0_p11.json": ["theoremB", "--group", "gamma0", "--p", "11"],
 }
 
 
@@ -39,10 +49,11 @@ def test_cli_output_matches_golden(name, capsys):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
-def test_lvalue_matches_golden_within_error_bounds(capsys):
-    assert main(["lvalue", "--json"]) == 0
+def _assert_within_error_bounds(name, capsys):
+    """Keys and exact fields equal; each float within its recorded error bound."""
+    assert main(BOUNDED[name] + ["--json"]) == 0
     got = json.loads(capsys.readouterr().out)
-    want = json.loads((GOLDEN / "lvalue.json").read_text())
+    want = json.loads((GOLDEN / name).read_text())
     assert got.keys() == want.keys()
     for block in want:
         if isinstance(want[block], dict):
@@ -58,3 +69,11 @@ def test_lvalue_matches_golden_within_error_bounds(capsys):
             assert abs(got["results"][key] - value) <= max(bound, got["error_bounds"][key]), key
         else:
             assert got["results"][key] == value, key
+
+
+def test_lvalue_matches_golden_within_error_bounds(capsys):
+    _assert_within_error_bounds("lvalue.json", capsys)
+
+
+def test_theoremB_gamma0_p11_matches_golden_within_error_bounds(capsys):
+    _assert_within_error_bounds("theoremB_gamma0_p11.json", capsys)

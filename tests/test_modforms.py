@@ -174,6 +174,17 @@ class TestSym2LValue:
         assert [r[0] for r in scored] == sorted(r[0] for r in scored)
         assert 100 * scored[0][0] <= scored[1][0]
 
+    @pytest.mark.parametrize("prime_cap", [None, 7, 3000])
+    def test_coeff_rows_match_per_beta_builder(self, prime_cap):
+        from zal.modforms import _BAD_CANDIDATES, _sym2_coeff_rows, _sym2_dirichlet_coeffs
+        N = 8000
+        f = mf.eta_product_qexp(N)
+        rows = _sym2_coeff_rows(f, N, _BAD_CANDIDATES, prime_cap)
+        for row, beta in zip(rows, _BAD_CANDIDATES):
+            want = _per_beta_coeffs(f, N, beta, prime_cap)
+            assert np.array_equal(row[1:], want[1:]), beta
+            assert np.array_equal(_sym2_dirichlet_coeffs(f, N, beta, prime_cap), row)
+
     @pytest.mark.parametrize("chunk", [4096, 128])  # one block; four, the last ragged
     def test_batched_moments_match_plain_sums(self, chunk, monkeypatch):
         from zal.modforms import (_BAD_CANDIDATES, _contour, _dirichlet_moments,
@@ -225,6 +236,43 @@ class TestSym2LValue:
         l_full = _lambda_value(full, 2.0, sym.conductor, sym.sign, X=1.0)
         l_capped = _lambda_value(capped, 2.0, sym.conductor, sym.sign, X=1.0)
         assert abs(l_full - l_capped) < 1e-6 * abs(l_full)
+
+
+def _per_beta_coeffs(f, N, bad_beta, prime_cap=None):
+    """Reference: the multiplicative fill run separately for one bad factor."""
+    spf = np.zeros(N + 1, dtype=np.int64)
+    for p in range(2, N + 1):
+        if spf[p] == 0:
+            spf[p::p] = np.where(spf[p::p] == 0, p, spf[p::p])
+    c = np.zeros(N + 1)
+    c[1] = 1.0
+    powers = {}
+    for p in range(2, N + 1):
+        if spf[p] != p:
+            continue
+        kmax = int(math.log(N) / math.log(p)) + 1
+        if prime_cap is not None and p > prime_cap:
+            powers[p] = [1.0] + [0.0] * kmax
+            continue
+        if p == f.level:
+            beta = 0 if bad_beta is None else bad_beta
+            powers[p] = [float(beta) ** k for k in range(kmax + 1)]
+            continue
+        e1 = f.a(p) ** 2 - p
+        e2 = p * e1
+        e3 = p ** 3
+        seq = [1.0, float(e1), float(e1 * e1 - e2)]
+        while len(seq) < kmax + 1:
+            seq.append(e1 * seq[-1] - e2 * seq[-2] + e3 * seq[-3])
+        powers[p] = seq
+    for n in range(2, N + 1):
+        p = int(spf[n])
+        m, k = n, 0
+        while m % p == 0:
+            m //= p
+            k += 1
+        c[n] = powers[p][k] * c[m]
+    return c
 
 
 class TestRationalReconstruction:

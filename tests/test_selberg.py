@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -120,3 +123,14 @@ class TestRuelle:
         r40 = selberg.ruelle_ratio(modular_spectrum(40), 2.0)
         r80 = selberg.ruelle_ratio(modular_spectrum(80), 2.0)
         assert abs(r40 - r80) < 1e-6
+
+
+def test_convergence_script_smoke():
+    script = Path(__file__).parents[1] / "scripts" / "selberg_convergence.py"
+    proc = subprocess.run([sys.executable, str(script), "--cutoffs", "20", "40"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "cutoff,classes,log_zeta,tail_estimate,observed_change"
+    assert [line.split(",")[0] for line in lines[1:]] == ["20", "40"]
+    assert lines[1].endswith(",") and not lines[2].endswith(",")
