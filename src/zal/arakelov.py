@@ -90,7 +90,7 @@ class HypothesisError(ValueError):
 
 def _admissible_provenance(spec: GroupSpec, what: str) -> tuple[str, ...]:
     """Provenance of a ledger entry, or HypothesisError off the pipeline's hypotheses."""
-    if not spec.exponents_admissible():
+    if not spec.torsion_free:
         if spec.kind == GroupKind.GAMMA0:
             raise HypothesisError(f"p = {spec.p} is not 11 mod 12")
         raise HypothesisError("pipeline needs a torsion-free congruence quotient")
@@ -266,8 +266,8 @@ def predict_zprime(spec: GroupSpec, constants: SpecialConstants,
     if exps.l_exponent != 0:
         if l_value is None:
             if spec.p == 11:
-                from .modforms import eta_product_qexp, sym2_L_value
-                sym = sym2_L_value(eta_product_qexp(8000))
+                from .modforms import level11_sym2
+                sym = level11_sym2()
                 l_value = sym.value
                 caveats.append(
                     f"L-value computed from the level-11 pipeline "

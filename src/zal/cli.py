@@ -103,8 +103,9 @@ def cmd_specfun(args) -> int:
     budget = specfun.PrecisionBudget(abs_tol=args.tol)
     r1, r2 = specfun.zeta_prime_minus1_routes(budget)
     zp = specfun.zeta_prime_minus1(budget)
-    g2 = specfun.barnes_gamma2_half(budget)
-    resid = abs(math.exp(zp) * 2 ** (1 / 36) * math.pi ** (-1 / 6) * g2 ** (2 / 3) - 1)
+    lg2 = specfun.log_barnes_gamma2_half(budget)
+    g2 = math.exp(lg2)
+    resid = specfun.voros_residual(zp, lg2)
     env.record("zeta_prime_minus1", zp, abs(r1 - r2))
     env.record("gamma2_half", g2, 10 * args.tol)
     env.record("cross_identity_residual", resid, 0.0)
@@ -132,14 +133,11 @@ def cmd_constants(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .lengthspec import modular_spectrum, spectrum_to_csv, subgroup_spectrum
+    from .lengthspec import spectrum_to_csv, subgroup_spectrum
     spec = _group_spec(args.group, args.p)
     env = ReportEnvelope("spectrum", inputs={
         "group": spec.label(), "max_trace": args.max_trace})
-    if args.group == "full":
-        sp = modular_spectrum(args.max_trace)
-    else:
-        sp = subgroup_spectrum(spec, args.max_trace)
+    sp = subgroup_spectrum(spec, args.max_trace)
     csv_text = spectrum_to_csv(sp)
     if args.out:
         with open(args.out, "w") as fh:

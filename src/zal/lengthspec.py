@@ -115,16 +115,6 @@ class GroupSpec:
             return True  # p >= 11 enforced above
         return self.p % 12 == 11  # nu2 = nu3 = 0 exactly then
 
-    def exponents_admissible(self) -> bool:
-        """Hypotheses under which the exponent-ledger pipeline applies."""
-        if self.kind == GroupKind.PRINCIPAL2:
-            return True
-        if self.kind == GroupKind.GAMMA1:
-            return True
-        if self.kind == GroupKind.GAMMA0:
-            return self.p % 12 == 11
-        return False
-
     def label(self) -> str:
         if self.p is not None:
             return f"{self.kind.value}({self.p})"
@@ -431,6 +421,14 @@ def contains(spec: GroupSpec, M: Mat) -> bool:
     return (a % p == 1 and d % p == 1) or (a % p == p - 1 and d % p == p - 1)
 
 
+# the generators T and S of SL2(Z)
+_GENS: tuple[Mat, Mat] = ((1, 1, 0, 1), (0, -1, 1, 0))
+
+# label of the identity coset under each kind's invariant in _label_act
+_ID_LABEL = {GroupKind.FULL: 0, GroupKind.PRINCIPAL2: M_ID,
+             GroupKind.GAMMA0: (0, 1), GroupKind.GAMMA1: (0, 1)}
+
+
 @cache
 def _coset_table(spec: GroupSpec) -> tuple[list, dict, list[Mat]]:
     """(labels, label->index, representative matrices), index m entries.
@@ -438,80 +436,45 @@ def _coset_table(spec: GroupSpec) -> tuple[list, dict, list[Mat]]:
     Built once per group and shared by every caller, which must not
     mutate it.
 
+    The table is the orbit of the identity's label under right
+    multiplication by T and S, walked breadth first: each new label
+    takes the next index, and its representative is the representative
+    of the label it was reached from times the generator.  T and S
+    generate SL2(Z), so the walk reaches every coset; there are finitely
+    many labels, so it ends.  Its size is checked against the index
+    formula of ``group_invariants``, which does not use the walk.
+    """
+    lab0 = _ID_LABEL[spec.kind]
+    labels: list = [lab0]
+    index: dict = {lab0: 0}
+    reps: list[Mat] = [M_ID]
+    for i, lab in enumerate(labels):  # labels grows while it is walked
+        for g in _GENS:
+            nxt = _label_act(spec, lab, g)
+            if nxt not in index:
+                index[nxt] = len(labels)
+                labels.append(nxt)
+                reps.append(mat_mul(reps[i], g))
+    m = group_invariants(spec)[2]
+    if len(labels) != m:
+        raise ArithmeticError(f"{spec.label()}: coset walk found {len(labels)} "
+                              f"cosets, index formula gives {m}")
+    return labels, index, reps
+
+
+def _label(spec: GroupSpec, M: Mat):
+    """Label of the coset of M."""
+    return _label_act(spec, _ID_LABEL[spec.kind], M)
+
+
+def _label_act(spec: GroupSpec, lab, M: Mat):
+    """Label of (coset rep with label lab) * M, computed on labels only.
+
     The label of a coset (Gamma g) is a right-multiplication-equivariant
     invariant of g: the matrix mod 2 for the principal level-2 group,
     the bottom row projectively mod p for Gamma0, the bottom row mod p
     up to sign for Gamma1.
     """
-    if spec.kind == GroupKind.FULL:
-        return [0], {0: 0}, [M_ID]
-    if spec.kind == GroupKind.PRINCIPAL2:
-        gens = [(1, 1, 0, 1), (0, -1, 1, 0)]
-        labels: list = []
-        index: dict = {}
-        reps: list[Mat] = []
-        frontier = [M_ID]
-        lab = _label(spec, M_ID)
-        labels.append(lab)
-        index[lab] = 0
-        reps.append(M_ID)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = mat_mul(x, g)
-                    lab = _label(spec, y)
-                    if lab not in index:
-                        index[lab] = len(labels)
-                        labels.append(lab)
-                        reps.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        return labels, index, reps
-    p = spec.p
-    if p is None:
-        raise _no_level(spec)
-    if spec.kind == GroupKind.GAMMA0:
-        labels = [(0, 1)] + [(1, j) for j in range(p)]
-        reps = [M_ID] + [(0, -1, 1, j) for j in range(p)]
-        return labels, {lab: i for i, lab in enumerate(labels)}, reps
-    # GAMMA1: bottom rows mod p up to sign
-    labels = []
-    for c in range(p):
-        for d in range(p):
-            if c == 0 and d == 0:
-                continue
-            if (c, d) == _canon_pm(c, d, p):
-                labels.append((c, d))
-    index = {lab: i for i, lab in enumerate(labels)}
-    reps = [_complete_bottom_row(c, d, p) for (c, d) in labels]
-    return labels, index, reps
-
-
-def _canon_pm(c: int, d: int, p: int) -> tuple[int, int]:
-    alt = ((-c) % p, (-d) % p)
-    return min((c % p, d % p), alt)
-
-
-def _label(spec: GroupSpec, M: Mat):
-    a, b, c, d = M
-    if spec.kind == GroupKind.FULL:
-        return 0
-    if spec.kind == GroupKind.PRINCIPAL2:
-        return (a % 2, b % 2, c % 2, d % 2)
-    p = spec.p
-    if p is None:
-        raise _no_level(spec)
-    cp, dp = c % p, d % p
-    if spec.kind == GroupKind.GAMMA0:
-        if cp == 0:
-            return (0, 1)
-        return (1, dp * pow(cp, -1, p) % p)
-    return _canon_pm(cp, dp, p)
-
-
-def _label_act(spec: GroupSpec, lab, M: Mat):
-    """Label of (coset rep with label lab) * M, computed on labels only."""
     a, b, c, d = M
     if spec.kind == GroupKind.FULL:
         return 0
@@ -528,33 +491,7 @@ def _label_act(spec: GroupSpec, lab, M: Mat):
         if nc == 0:
             return (0, 1)
         return (1, nd * pow(nc, -1, p) % p)
-    return _canon_pm(nc, nd, p)
-
-
-def _complete_bottom_row(c: int, d: int, p: int) -> Mat:
-    """Some SL2(Z) matrix whose bottom row is congruent to (c, d) mod p."""
-    for dc in range(0, 4 * p, 1):
-        for c0 in (c, c + p, c + 2 * p):
-            d0 = d + dc * p
-            if c0 == 0 and d0 == 0:
-                continue
-            if gcd(c0, d0) == 1:
-                g, x, y = _ext_gcd(d0, -c0)
-                if g != 1:
-                    raise ArithmeticError(f"gcd({d0}, {-c0}) = {g}, expected 1")
-                return (x, y, c0, d0)
-    raise RuntimeError("could not complete bottom row")
-
-
-def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
-    """(g, u, v) with u x + v y = g = gcd(x, y) >= 0, by the iterative Euclid."""
-    r0, r1, u0, u1, v0, v1 = x, y, 1, 0, 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    return (r0, u0, v0) if r0 > 0 else (-r0, -u0, -v0)
+    return min((nc, nd), (-nc % p, -nd % p))
 
 
 def coset_permutation(spec: GroupSpec, M: Mat) -> list[int]:

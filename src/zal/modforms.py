@@ -65,6 +65,7 @@ __all__ = [
     "dirichlet_direct",
     "petersson_norm",
     "sym2_L_value",
+    "level11_sym2",
     "hida_ratio",
     "reconstruct_rational",
     "sym2_local_poly",
@@ -509,6 +510,12 @@ def sym2_L_value(f: QExpansion, s: float = 2.0, tol: float = 1e-6,
     return Sym2Result(value=value, est_error=abs(res * value) + 1e-12 * abs(value),
                       conductor=cond, bad_beta=beta, sign=w_sign,
                       fe_residual=res, rejected=len(results) - 1)
+
+
+@lru_cache(maxsize=1)
+def level11_sym2() -> Sym2Result:
+    """L(2, Sym^2 f) at the default tolerance and 8000 terms, once per process."""
+    return sym2_L_value(eta_product_qexp(8000), 2.0, tol=1e-6, n_terms=8000)
 
 
 def dirichlet_direct(f: QExpansion, s: float, n_terms: int,

@@ -29,6 +29,7 @@ from .lengthspec import (
     GroupSpec,
     Mat,
     M_ID,
+    _signed_divisors,
     contains,
     form_of_matrix,
     group_invariants,
@@ -201,16 +202,6 @@ def gamma_conjugate(V: Mat, W: Mat, spec: GroupSpec) -> bool:
 # bounded-entry enumeration
 
 
-def _divisors(m: int) -> list[int]:
-    out = []
-    for d in range(1, isqrt(m) + 1):
-        if m % d == 0:
-            out.append(d)
-            if d != m // d:
-                out.append(m // d)
-    return out
-
-
 def enumerate_subgroup_elements(spec: GroupSpec, max_trace: int,
                                 entry_bound: int) -> dict[int, list[Mat]]:
     """All subgroup elements with 3 <= trace <= max_trace, |entries| <= B."""
@@ -224,14 +215,13 @@ def enumerate_subgroup_elements(spec: GroupSpec, max_trace: int,
             m = a * d - 1
             if m == 0:
                 continue
-            for b0 in _divisors(abs(m)):
-                for b in (b0, -b0):
-                    c = m // b
-                    if abs(b) > B or abs(c) > B:
-                        continue
-                    M: Mat = (a, b, c, d)
-                    if contains(spec, M):
-                        out[t].append(M)
+            for b in _signed_divisors(abs(m)):
+                c = m // b
+                if abs(b) > B or abs(c) > B:
+                    continue
+                M: Mat = (a, b, c, d)
+                if contains(spec, M):
+                    out[t].append(M)
     return out
 
 

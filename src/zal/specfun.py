@@ -272,7 +272,7 @@ def voros_residual(zp1: float, log_g2h: float) -> float:
     """|exp(zeta'(-1)) * 2^(1/36) * pi^(-1/6) * Gamma2(1/2)^(2/3) - 1|."""
     return abs(
         math.exp(zp1) * 2.0 ** (1.0 / 36.0) * math.pi ** (-1.0 / 6.0)
-        * math.exp(log_g2h * 2.0 / 3.0) - 1.0
+        * math.exp(log_g2h) ** (2.0 / 3.0) - 1.0
     )
 
 

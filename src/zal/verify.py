@@ -32,17 +32,10 @@ def _constants() -> specfun.SpecialConstants:
     return specfun.compute_constants()
 
 
-@lru_cache(maxsize=1)
-def _sym2_cached() -> modforms.Sym2Result:
-    f = modforms.eta_product_qexp(8000)
-    return modforms.sym2_L_value(f, 2.0, tol=1e-6, n_terms=8000)
-
-
 def check_voros_identity() -> CheckResult:
     budget = specfun.PrecisionBudget(abs_tol=1e-12)
     zp = specfun.zeta_prime_minus1(budget)
-    g2 = specfun.barnes_gamma2_half(budget)
-    resid = abs(math.exp(zp) * 2.0 ** (1 / 36) * math.pi ** (-1 / 6) * g2 ** (2 / 3) - 1.0)
+    resid = specfun.voros_residual(zp, specfun.log_barnes_gamma2_half(budget))
     r1, r2 = specfun.zeta_prime_minus1_routes(budget)
     return CheckResult(
         name="voros_identity",
@@ -197,7 +190,7 @@ def check_coefficient_oracles() -> CheckResult:
 
 
 def check_hida_rationality() -> CheckResult:
-    sym = _sym2_cached()
+    sym = modforms.level11_sym2()
     pet = modforms.petersson_norm(modforms.eta_product_qexp(8000), tol=1e-8)
     h = modforms.hida_ratio(sym, pet)
     # negative control perturbs the Petersson factor itself; rescaling the
@@ -238,7 +231,7 @@ def check_exponent_ledger() -> CheckResult:
 
 
 def check_sym2_self_consistency() -> CheckResult:
-    sym = _sym2_cached()
+    sym = modforms.level11_sym2()
     return CheckResult(
         name="sym2_functional_equation",
         passed=sym.fe_residual < 1e-6 and sym.rejected == 19,

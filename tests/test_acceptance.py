@@ -4,8 +4,12 @@ Each test prints one PASS/FAIL line (run pytest with -s to see them all)
 and asserts both the check outcome and its runtime budget.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import zal
 from zal.verify import run_check
 
 BUDGETS = {
@@ -34,3 +38,13 @@ def test_acceptance_criterion(name):
     _report(res)
     assert res.passed, res.details
     assert res.seconds < BUDGETS[name], f"runtime budget exceeded: {res.seconds:.1f}s"
+
+
+def test_no_assert_guards_in_package():
+    """Guards must hold under python -O, which strips assert statements."""
+    found = []
+    for path in sorted(Path(zal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

@@ -31,6 +31,8 @@ CASES = {
     "theoremB_gamma2.json": ["theoremB", "--group", "gamma2"],
     "theoremB_gamma0_p23.json": ["theoremB", "--group", "gamma0", "--p", "23"],
     "constants_check.json": ["constants", "check"],
+    "specfun_check.json": ["specfun", "check"],
+    "selberg_s2_T80.json": ["selberg", "--s", "2", "--max-trace", "80"],
     "degenerate_g1_n3_sweep.txt": ["degenerate", "--g", "1", "--n", "3", "--t", "1e-4",
                                    "--sweep"],
 }

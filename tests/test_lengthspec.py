@@ -33,13 +33,6 @@ class TestGroupSpec:
         assert ls.GroupSpec.gamma1(13).torsion_free
         assert not ls.GroupSpec.full().torsion_free
 
-    def test_exponent_pipeline_admissibility(self):
-        assert ls.GroupSpec.principal2().exponents_admissible()
-        assert ls.GroupSpec.gamma0(11).exponents_admissible()
-        assert ls.GroupSpec.gamma1(13).exponents_admissible()
-        assert not ls.GroupSpec.gamma0(13).exponents_admissible()
-        assert not ls.GroupSpec.full().exponents_admissible()
-
 
 class TestClassNumber:
     def test_fundamental_cases(self):
@@ -203,10 +196,24 @@ class TestSubgroupSpectrum:
                 assert sum(k for _, k in ls._orbits(perm)) == m
 
 
+PRIMES = [p for p in range(11, 32) if ls._is_prime(p)]
+ALL_SPECS = ([ls.GroupSpec.principal2(), ls.GroupSpec.gamma0(11), ls.GroupSpec.gamma1(11)]
+             + [ls.GroupSpec.gamma0(p) for p in PRIMES[1:]]
+             + [ls.GroupSpec.gamma1(p) for p in PRIMES[1:]] + [ls.GroupSpec.full()])
+
+
+@st.composite
+def _ts_words(draw):
+    """A product of up to 40 factors T, T^-1, S (S^-1 = -S)."""
+    M = ls.M_ID
+    for g in draw(st.lists(st.sampled_from([(1, 1, 0, 1), (1, -1, 0, 1), (0, -1, 1, 0)]),
+                           max_size=40)):
+        M = ls.mat_mul(M, g)
+    return M
+
+
 class TestCosetTables:
-    @pytest.mark.parametrize("spec", [ls.GroupSpec.principal2(),
-                                      ls.GroupSpec.gamma0(11),
-                                      ls.GroupSpec.gamma1(11)])
+    @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_table_size_and_labels(self, spec):
         labels, index, reps = ls._coset_table(spec)
         _, _, m = ls.group_invariants(spec)
@@ -225,6 +232,22 @@ class TestCosetTables:
         M = ls.ambient_classes(5)[0]
         for lab, rep in list(zip(labels, reps))[::7]:
             assert ls._label_act(spec, lab, M) == ls._label(spec, ls.mat_mul(rep, M))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(ALL_SPECS), _ts_words())
+    def test_membership_is_identity_label(self, spec, M):
+        id_label = ls._label(spec, ls.M_ID)
+        assert ls.contains(spec, M) == (ls._label(spec, M) == id_label)
+        # T^N lies in the principal congruence subgroup of level N, which is
+        # normal in SL2(Z) and contained in every group here
+        W = ls.mat_mul(ls.mat_mul(M, (1, spec.p or 2, 0, 1)), ls.mat_inv(M))
+        assert ls.contains(spec, W) and ls._label(spec, W) == id_label
+
+    def test_walk_size_checked_against_index_formula(self, monkeypatch):
+        ls._coset_table.cache_clear()
+        monkeypatch.setattr(ls, "group_invariants", lambda s: (0, 2, 15))
+        with pytest.raises(ArithmeticError):
+            ls._coset_table(ls.GroupSpec.gamma0(13))
 
 
 class TestCSV:
@@ -343,13 +366,6 @@ class TestPell:
             ls.pell_fundamental(16)
 
 
-def _ext_gcd_recursive(x, y):
-    if y == 0:
-        return (x, 1, 0) if x > 0 else (-x, -1, 0)
-    g, u, v = _ext_gcd_recursive(y, x % y)
-    return g, v, u - (x // y) * v
-
-
 class TestGuards:
     """Explicit errors that hold under python -O, where assert is removed."""
 
@@ -370,20 +386,3 @@ class TestGuards:
     def test_levelless_spec_raises(self, call, kind):
         with pytest.raises(ValueError, match=kind):
             call(self._levelless(kind))
-
-    def test_bottom_row_rejects_inconsistent_gcd(self, monkeypatch):
-        monkeypatch.setattr(ls, "_ext_gcd", lambda x, y: (2, 0, 0))
-        with pytest.raises(ArithmeticError):
-            ls._complete_bottom_row(1, 2, 11)
-
-    def test_ext_gcd_has_no_recursion_limit(self):
-        a, b = 1, 1
-        for _ in range(5000):  # consecutive Fibonacci numbers: 5000 Euclid steps
-            a, b = b, a + b
-        g, u, v = ls._ext_gcd(b, a)
-        assert g == 1 and u * b + v * a == 1
-
-    @settings(max_examples=300)
-    @given(st.integers(-10 ** 9, 10 ** 9), st.integers(-10 ** 9, 10 ** 9))
-    def test_ext_gcd_matches_recursive(self, x, y):
-        assert ls._ext_gcd(x, y) == _ext_gcd_recursive(x, y)

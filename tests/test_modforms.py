@@ -80,7 +80,7 @@ def pet():
 
 @pytest.fixture(scope="module")
 def sym():
-    return mf.sym2_L_value(mf.eta_product_qexp(8000), 2.0, tol=1e-6, n_terms=8000)
+    return mf.level11_sym2()
 
 
 @pytest.fixture(scope="module")
