@@ -17,11 +17,18 @@ The convention is the standard one: primitive *oriented* closed
 geodesics, equivalently conjugacy classes of primitive hyperbolic
 elements; length = 2 arccosh(t/2).
 
-Subgroup spectra are produced by covering-space lifting: a primitive
-ambient class with representative M acts on the coset space of the
-subgroup, and each orbit of size k contributes one primitive class of
-length k * l(M).  The enumeration is complete for all subgroup classes
-of trace <= max_trace because lifted traces only grow.
+Subgroup spectra come from the covering of the modular surface: a
+primitive ambient class M of trace t acts on the cosets of the subgroup,
+and each orbit of size k contributes one primitive class of trace
+T_k(t) = tr M^k.  The enumeration is complete up to max_trace because
+T_k(t) grows with k.  Every group here contains the principal congruence
+subgroup of level N (1, 2 or p), so the orbit sizes depend only on M mod
+N up to GL2(Z/N) conjugation, and that class is fixed by (t mod N, N | u),
+u the content of M's fixed-point form: M is +-I mod N exactly when N | u,
+and otherwise conjugate to the companion matrix of x^2 - t x + 1
+(Fulton-Harris, Representation Theory, 5.2).  Every spectrum is thus a
+sum over class counts per (t, u) and one orbit-size table per group;
+explicit lifting is kept only for subgroup class representatives.
 
 Everything here is exact integer arithmetic except the final lengths.
 """
@@ -29,7 +36,8 @@ Everything here is exact integer arithmetic except the final lengths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from math import gcd, isqrt
@@ -124,8 +132,9 @@ class GroupSpec:
 def _no_level(spec: GroupSpec) -> ValueError:
     """The error for a Gamma0 / Gamma1 spec that lost its level p.
 
-    Callers test ``spec.p is None`` inline, so the coset-label functions,
-    the innermost loop of subgroup lifting, pay no extra call.
+    Callers test ``spec.p is None`` inline, so ``_label_act``, which runs
+    once per coset for every coset table and coset permutation built,
+    pays no extra call.
     """
     return ValueError(f"{spec.kind.value} spec has no level p")
 
@@ -353,6 +362,13 @@ def ambient_classes(t: int) -> list[Mat]:
     return reps
 
 
+@cache
+def _class_counts(t: int) -> tuple[tuple[int, int], ...]:
+    """(content u, number of primitive classes) pairs of trace t; counts
+    only, so the cache stays small."""
+    return tuple(Counter(gcd(*form_of_matrix(M)) for M in ambient_classes(t)).items())
+
+
 def geodesic_length(t: int) -> float:
     return 2.0 * math.acosh(t / 2.0)
 
@@ -373,7 +389,10 @@ class LengthSpectrum:
     group: GroupSpec
     max_trace: int
     entries: tuple[GeodesicClass, ...]
-    torsion_flagged: bool = field(default=False)
+
+    @property
+    def torsion_flagged(self) -> bool:
+        return not self.group.torsion_free
 
     def counting(self, L: float) -> int:
         """N(L): number of primitive classes of length <= L, with multiplicity."""
@@ -381,8 +400,7 @@ class LengthSpectrum:
 
     def filtered(self, max_trace: int) -> "LengthSpectrum":
         return LengthSpectrum(self.group, max_trace,
-                              tuple(e for e in self.entries if e.trace <= max_trace),
-                              self.torsion_flagged)
+                              tuple(e for e in self.entries if e.trace <= max_trace))
 
     def total_classes(self) -> int:
         return sum(e.multiplicity for e in self.entries)
@@ -391,13 +409,6 @@ class LengthSpectrum:
 def _entries_from_counts(counts: dict[int, int]) -> tuple[GeodesicClass, ...]:
     return tuple(GeodesicClass(t, geodesic_length(t), m)
                  for t, m in sorted(counts.items()) if m > 0)
-
-
-def modular_spectrum(max_trace: int) -> LengthSpectrum:
-    """Merged primitive spectrum of the modular surface up to trace max_trace."""
-    counts = {t: len(ambient_classes(t)) for t in range(3, max_trace + 1)}
-    return LengthSpectrum(GroupSpec.full(), max_trace, _entries_from_counts(counts),
-                          torsion_flagged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -515,15 +526,38 @@ def _orbits(perm: list[int]) -> Iterator[tuple[int, int]]:
         yield i, k
 
 
-def _lifts(spec: GroupSpec, max_trace: int) -> Iterator[tuple[Mat, int, int, int]]:
-    """(M, first coset index, orbit size k, trace of M^k) for every coset
-    orbit of every primitive ambient class M whose lift has trace <= max_trace."""
+@cache
+def _orbit_sizes(spec: GroupSpec, r: int, scalar: bool) -> tuple[int, ...]:
+    """Sorted coset-orbit sizes shared by every primitive ambient class of
+    trace r mod N that is +-I mod N (``scalar``) or is not.
+
+    One stand-in per key: the identity, which acts on the cosets as -I
+    does, or the companion matrix (0, -1, 1, r).
+    """
+    M = M_ID if scalar else (0, -1, 1, r)
+    return tuple(sorted(k for _, k in _orbits(coset_permutation(spec, M))))
+
+
+def _spectrum(spec: GroupSpec, max_trace: int) -> LengthSpectrum:
+    """The counting loop of both spectrum functions: the h ambient classes
+    of trace t and content u add h classes of trace T_k(t) per orbit size k."""
+    N = {GroupKind.FULL: 1, GroupKind.PRINCIPAL2: 2}.get(spec.kind, spec.p)
+    if N is None:
+        raise _no_level(spec)
+    counts: dict[int, int] = {}
     for t in range(3, max_trace + 1):
-        for M in ambient_classes(t):
-            for i, k in _orbits(coset_permutation(spec, M)):
+        for u, h in _class_counts(t):
+            for k in _orbit_sizes(spec, t % N, u % N == 0):
                 tk = trace_of_power(t, k)
-                if tk <= max_trace:
-                    yield M, i, k, tk
+                if tk > max_trace:
+                    break
+                counts[tk] = counts.get(tk, 0) + h
+    return LengthSpectrum(spec, max_trace, _entries_from_counts(counts))
+
+
+def modular_spectrum(max_trace: int) -> LengthSpectrum:
+    """Merged primitive spectrum of the modular surface up to trace max_trace."""
+    return _spectrum(GroupSpec.full(), max_trace)
 
 
 def subgroup_spectrum(spec: GroupSpec, max_trace: int) -> LengthSpectrum:
@@ -532,14 +566,7 @@ def subgroup_spectrum(spec: GroupSpec, max_trace: int) -> LengthSpectrum:
     Complete by construction: any subgroup class of trace <= max_trace
     lies over an ambient class of trace <= max_trace.
     """
-    if spec.kind == GroupKind.FULL:
-        sp = modular_spectrum(max_trace)
-        return LengthSpectrum(spec, max_trace, sp.entries, torsion_flagged=True)
-    counts: dict[int, int] = {}
-    for *_, tk in _lifts(spec, max_trace):
-        counts[tk] = counts.get(tk, 0) + 1
-    return LengthSpectrum(spec, max_trace, _entries_from_counts(counts),
-                          torsion_flagged=not spec.torsion_free)
+    return _spectrum(spec, max_trace)
 
 
 def subgroup_class_representatives(spec: GroupSpec, max_trace: int) -> dict[int, list[Mat]]:
@@ -551,12 +578,17 @@ def subgroup_class_representatives(spec: GroupSpec, max_trace: int) -> dict[int,
     """
     reps = _coset_table(spec)[2]
     out: dict[int, list[Mat]] = {}
-    for M, i, k, tk in _lifts(spec, max_trace):
-        x = reps[i]
-        W = mat_mul(mat_mul(x, mat_pow(M, k)), mat_inv(x))
-        if not contains(spec, W):
-            raise RuntimeError("lifted representative escaped the subgroup")
-        out.setdefault(tk, []).append(W)
+    for t in range(3, max_trace + 1):
+        for M in ambient_classes(t):
+            for i, k in _orbits(coset_permutation(spec, M)):
+                tk = trace_of_power(t, k)
+                if tk > max_trace:
+                    continue
+                x = reps[i]
+                W = mat_mul(mat_mul(x, mat_pow(M, k)), mat_inv(x))
+                if not contains(spec, W):
+                    raise RuntimeError("lifted representative escaped the subgroup")
+                out.setdefault(tk, []).append(W)
     return out
 
 

@@ -110,8 +110,9 @@ def subst(form: Form, h: Mat) -> Form:
 def reduce_with_transform(form: Form) -> tuple[Form, Mat]:
     """(reduced form R, h) with R = subst(form, h), h in SL2(Z).
 
-    First translates into the reduced window, then applies rho steps
-    until a reduced form is reached.
+    Applies rho steps until a reduced form is reached; each step's
+    translation, chosen by ``rho_step``, puts the new middle coefficient
+    in the window just below sqrt(D).
     """
     a, b, c = form
     D = b * b - 4 * a * c

@@ -28,6 +28,13 @@ CASES = {
                                     "--max-trace", "25"],
     "spectrum_gamma1_p13_T25.txt": ["spectrum", "--group", "gamma1", "--p", "13",
                                     "--max-trace", "25"],
+    "spectrum_gamma0_p13_T60.txt": ["spectrum", "--group", "gamma0", "--p", "13",
+                                    "--max-trace", "60"],
+    "spectrum_gamma0_p31_T102.txt": ["spectrum", "--group", "gamma0", "--p", "31",
+                                     "--max-trace", "102"],
+    "spectrum_gamma1_p31_T35.txt": ["spectrum", "--group", "gamma1", "--p", "31",
+                                    "--max-trace", "35"],
+    "spectrum_gamma2_T130.txt": ["spectrum", "--group", "gamma2", "--max-trace", "130"],
     "theoremB_gamma2.json": ["theoremB", "--group", "gamma2"],
     "theoremB_gamma0_p23.json": ["theoremB", "--group", "gamma0", "--p", "23"],
     "constants_check.json": ["constants", "check"],

@@ -33,6 +33,11 @@ class TestGroupSpec:
         assert ls.GroupSpec.gamma1(13).torsion_free
         assert not ls.GroupSpec.full().torsion_free
 
+    def test_spectrum_flag_follows_group(self):
+        assert ls.LengthSpectrum(ls.GroupSpec.full(), 2, ()).torsion_flagged
+        sp = ls.subgroup_spectrum(ls.GroupSpec.principal2(), 10)
+        assert not sp.torsion_flagged and not sp.filtered(6).torsion_flagged
+
 
 class TestClassNumber:
     def test_fundamental_cases(self):
@@ -162,8 +167,11 @@ class TestSubgroupSpectrum:
         prod = {e.trace: e.multiplicity for e in ls.subgroup_spectrum(spec, 8).entries}
         assert bf == prod
 
+    # Gamma1(29) and Gamma1(31) have no class below trace p - 2, so at trace 14
+    # they would compare two empty spectra; Gamma1 is checked at p = 13 only.
     @pytest.mark.parametrize("kind,p,bound", [("gamma0", 13, 80), ("gamma0", 17, 120),
-                                              ("gamma0", 23, 200), ("gamma1", 13, 400)])
+                                              ("gamma0", 23, 200), ("gamma0", 29, 200),
+                                              ("gamma0", 31, 200), ("gamma1", 13, 400)])
     def test_bruteforce_at_trace_14(self, kind, p, bound):
         spec = getattr(ls.GroupSpec, kind)(p)
         bf = oracles.bruteforce_subgroup_counts(spec, 14, bound)
@@ -232,6 +240,16 @@ class TestCosetTables:
         M = ls.ambient_classes(5)[0]
         for lab, rep in list(zip(labels, reps))[::7]:
             assert ls._label_act(spec, lab, M) == ls._label(spec, ls.mat_mul(rep, M))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(ALL_SPECS), st.integers(3, 80), st.data())
+    def test_orbit_sizes_depend_only_on_key(self, spec, t, data):
+        # the table behind both spectrum functions against the per-class walk
+        M = data.draw(st.sampled_from(ls.ambient_classes(t)))
+        N = spec.p or (2 if spec.kind == ls.GroupKind.PRINCIPAL2 else 1)
+        u = math.gcd(*ls.form_of_matrix(M))
+        sizes = sorted(k for _, k in ls._orbits(ls.coset_permutation(spec, M)))
+        assert tuple(sizes) == ls._orbit_sizes(spec, t % N, u % N == 0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(ALL_SPECS), _ts_words())
@@ -381,7 +399,9 @@ class TestGuards:
         lambda s: ls._coset_table(s),
         lambda s: ls._label(s, (1, 0, 0, 1)),
         lambda s: ls._label_act(s, (0, 1), (1, 0, 0, 1)),
-    ], ids=["group_invariants", "contains", "coset_table", "label", "label_act"])
+        lambda s: ls.subgroup_spectrum(s, 14),
+    ], ids=["group_invariants", "contains", "coset_table", "label", "label_act",
+            "subgroup_spectrum"])
     @pytest.mark.parametrize("kind", ["gamma0", "gamma1"])
     def test_levelless_spec_raises(self, call, kind):
         with pytest.raises(ValueError, match=kind):

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zal import modforms as mf
+from zal.lengthspec import _is_prime
 
 
 F600 = mf.eta_product_qexp(600)
+F8000 = mf.eta_product_qexp(8000)
+GOOD_PRIMES_8000 = [ell for ell in range(2, 8000) if ell != 11 and _is_prime(ell)]
 
 
 class TestEtaProduct:
@@ -58,6 +61,11 @@ class TestPointCounting:
     def test_hasse_bound(self):
         for ell, a in mf.frobenius_traces(120).items():
             assert a * a <= 4 * ell
+
+    def test_hasse_bound_whole_table(self):
+        assert len(GOOD_PRIMES_8000) == 1006
+        for ell in GOOD_PRIMES_8000:
+            assert F8000.a(ell) ** 2 <= 4 * ell, ell
 
     def test_bad_prime_rejected(self):
         with pytest.raises(mf.BadPrimeError):
@@ -146,6 +154,17 @@ class TestSym2Local:
             lf = mf.sym2_local_poly(ell, F600.a(ell))
             mods = lf.reciprocal_root_moduli()
             assert all(abs(m - ell) < 1e-9 * ell for m in mods)
+
+    def test_deligne_exact_whole_table(self):
+        # (1 - l x)(1 - (a^2 - 2l) x + l^2 x^2): the quadratic's discriminant is
+        # a^2 (a^2 - 4l) <= 0, so its roots are conjugate with product l^2 and
+        # every reciprocal root has modulus l exactly
+        for ell in GOOD_PRIMES_8000:
+            a = F8000.a(ell)
+            q1, q2 = -(a * a - 2 * ell), ell * ell
+            assert q1 * q1 - 4 * q2 <= 0, ell
+            assert mf.sym2_local_poly(ell, a).poly_coeffs == \
+                (1, q1 - ell, q2 - ell * q1, -ell * q2), ell
 
     def test_hasse_sanity_band_at_edge(self):
         # local factor value at the edge stays in the coarse Hasse band
