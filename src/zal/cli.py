@@ -85,16 +85,15 @@ def _emit(env: ReportEnvelope, as_json: bool) -> int:
 
 
 def _group_spec(name: str, p: int | None):
-    from .lengthspec import GroupSpec
-    if name == "full":
-        return GroupSpec.full()
-    if name == "gamma2":
-        return GroupSpec.principal2()
-    if name == "gamma0":
-        return GroupSpec.gamma0(p if p is not None else 11)
-    if name == "gamma1":
-        return GroupSpec.gamma1(p if p is not None else 11)
-    raise ValueError(name)
+    """The group of ``--group``/``--p``; Gamma0 and Gamma1 default to p = 11.
+
+    The constructor rejects a level for the level-free groups and a bad
+    level for the others."""
+    from .lengthspec import GroupKind, GroupSpec
+    kind = GroupKind(name)
+    if p is None and kind in (GroupKind.GAMMA0, GroupKind.GAMMA1):
+        p = 11
+    return GroupSpec(kind, p)
 
 
 def cmd_specfun(args) -> int:
@@ -134,7 +133,7 @@ def cmd_constants(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from .lengthspec import spectrum_to_csv, subgroup_spectrum
-    spec = _group_spec(args.group, args.p)
+    spec = args.spec
     env = ReportEnvelope("spectrum", inputs={
         "group": spec.label(), "max_trace": args.max_trace})
     sp = subgroup_spectrum(spec, args.max_trace)
@@ -236,7 +235,7 @@ def cmd_theorem_b(args) -> int:
     from .arakelov import predict_zprime, special_value_exponents
     from .lengthspec import group_invariants
     from .specfun import compute_constants
-    spec = _group_spec(args.group, args.p)
+    spec = args.spec
     env = ReportEnvelope("theoremB", inputs={"group": spec.label()})
     sc = compute_constants()
     exps = special_value_exponents(spec, sc)
@@ -348,6 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "group"):
+        try:
+            args.spec = _group_spec(args.group, args.p)
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.fn(args)
 
 

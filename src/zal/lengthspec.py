@@ -5,11 +5,11 @@ through the classical dictionary between hyperbolic conjugacy classes of
 trace t and cycles of Gauss-reduced indefinite binary quadratic forms of
 discriminant t^2 - 4.  Two traps are handled explicitly:
 
-* imprimitive forms (content u > 1) correspond to classes whose
-  primitive part lives at discriminant (t^2-4)/u^2, and such a class is
-  a *primitive group element* only when (t, u) is the fundamental
-  solution of X^2 - d0 Y^2 = 4 for d0 = (t^2-4)/u^2; otherwise the class
-  is a proper power and must not be counted;
+* a cycle of any content is a *primitive group element* only when the
+  product of the rho steps once around it, which generates the
+  automorphs of its forms, has trace +-t; a cycle of content u > 1 whose
+  step product has a smaller trace is a proper power and must not be
+  counted;
 * equivalence of forms is proper (SL2) equivalence, i.e. cycles, not
   ambiguous GL2 classes.
 
@@ -234,21 +234,34 @@ def rho_step(form: Form, D: int) -> tuple[Form, Mat]:
     return (c, b2, c2), (0, -1, 1, (b + b2) // (2 * c))
 
 
+def _cycle(start: Form, D: int) -> tuple[list[Form], Mat]:
+    """The rho-cycle of a reduced form and the product of its steps.
+
+    The product generates, up to sign, the automorphs of ``start``
+    (Buchmann-Vollmer, Binary Quadratic Forms, ch. 6; Cohen, GTM 138,
+    5.7).  rho permutes the finitely many reduced forms of D, so the walk
+    comes back to ``start``.
+    """
+    if not is_reduced(start, D):
+        raise ValueError(f"{start} is not reduced at D={D}")
+    forms = [start]
+    cur, M = rho_step(start, D)
+    while cur != start:
+        forms.append(cur)
+        cur, step = rho_step(cur, D)
+        M = mat_mul(M, step)
+    return forms, M
+
+
 def form_cycles(forms: Iterable[Form], D: int) -> list[list[Form]]:
     """Partition reduced forms into rho-cycles."""
     remaining = set(forms)
     cycles: list[list[Form]] = []
     while remaining:
-        start = min(remaining)
-        cyc = [start]
-        remaining.discard(start)
-        cur = rho_step(start, D)[0]
-        while cur != start:
-            if cur not in remaining:
-                raise RuntimeError(f"rho walk left the reduced set at D={D}")
-            remaining.discard(cur)
-            cyc.append(cur)
-            cur = rho_step(cur, D)[0]
+        cyc = _cycle(min(remaining), D)[0]
+        if not remaining.issuperset(cyc):
+            raise RuntimeError(f"rho walk left the given forms at D={D}")
+        remaining.difference_update(cyc)
         cycles.append(cyc)
     return cycles
 
@@ -258,31 +271,17 @@ def class_number_indefinite(D: int) -> int:
     return len(form_cycles(reduced_forms(D), D))
 
 
-def _primitive_cycle_reps(D: int) -> list[Form]:
-    """One reduced representative per cycle of *primitive* forms of disc D."""
-    prim = [f for f in reduced_forms(D) if gcd(gcd(f[0], f[1]), f[2]) == 1]
-    return [cyc[0] for cyc in form_cycles(prim, D)]
-
-
 def pell_fundamental(d0: int) -> tuple[int, int]:
     """Fundamental solution (T, U), T, U > 0, of T^2 - d0 U^2 = 4.
 
-    The product of the rho steps once around the cycle of the principal
-    reduced form (1, b, c) is, up to sign, the generator of its
-    automorphs [[(T - bU)/2, -cU], [U, (T + bU)/2]] (Buchmann-Vollmer,
-    Binary Quadratic Forms, ch. 6; Cohen, GTM 138, 5.7).  rho permutes
-    the finitely many reduced forms of d0, so the walk ends.
+    The step product of the cycle of the principal reduced form (1, b, c)
+    is, up to sign, [[(T - bU)/2, -cU], [U, (T + bU)/2]].
     """
     if not is_discriminant(d0):
         raise ValueError(f"{d0} is not a valid discriminant")
     r = isqrt(d0)
     b = r if (r - d0) % 2 == 0 else r - 1
-    start = (1, b, (b * b - d0) // 4)
-    cur, step = rho_step(start, d0)
-    M = step
-    while cur != start:
-        cur, step = rho_step(cur, d0)
-        M = mat_mul(M, step)
+    M = _cycle((1, b, (b * b - d0) // 4), d0)[1]
     return abs(M[0] + M[3]), abs(M[2])
 
 
@@ -340,25 +339,21 @@ def trace_of_power(t: int, k: int) -> int:
 def ambient_classes(t: int) -> list[Mat]:
     """Representatives of the primitive hyperbolic classes of trace t.
 
-    One cycle of reduced forms of discriminant t^2-4 per class; a cycle
-    of content u is kept only when (t, u) is the fundamental automorph
-    of the underlying primitive discriminant, i.e. the class is not a
-    proper power.
+    One cycle of reduced forms of discriminant t^2-4, any content, per
+    class.  A cycle is kept only when its step product, the fundamental
+    automorph of its forms, has trace +-t; otherwise the class of trace t
+    is a proper power.
     """
     if t < 3:
         return []
     D = t * t - 4
     reps: list[Mat] = []
-    u = 1
-    while u * u <= D:
-        if D % (u * u) == 0:
-            d0 = D // (u * u)
-            if d0 % 4 in (0, 1) and d0 >= 5:
-                if pell_fundamental(d0) == (t, u):
-                    for f0 in _primitive_cycle_reps(d0):
-                        f = (u * f0[0], u * f0[1], u * f0[2])
-                        reps.append(matrix_of_form(f, t))
-        u += 1
+    remaining = set(reduced_forms(D))
+    while remaining:
+        forms, M = _cycle(min(remaining), D)
+        remaining.difference_update(forms)
+        if abs(M[0] + M[3]) == t:
+            reps.append(matrix_of_form(forms[0], t))
     return reps
 
 
@@ -399,6 +394,11 @@ class LengthSpectrum:
         return sum(e.multiplicity for e in self.entries if e.length <= L)
 
     def filtered(self, max_trace: int) -> "LengthSpectrum":
+        """The spectrum cut at max_trace, which may not exceed the trace
+        to which this one is complete."""
+        if max_trace > self.max_trace:
+            raise ValueError(f"cannot filter a spectrum complete to trace "
+                             f"{self.max_trace} up to {max_trace}")
         return LengthSpectrum(self.group, max_trace,
                               tuple(e for e in self.entries if e.trace <= max_trace))
 

@@ -144,39 +144,24 @@ def eta_product_qexp(N: int) -> QExpansion:
     return QExpansion(level=LEVEL, weight=2, coeffs=tuple(int(x) for x in prod))
 
 
-def point_count_ap(ell: int, exhaustive: bool | None = None) -> int:
+def point_count_ap(ell: int) -> int:
     """a_ell = ell + 1 - #E(F_ell) on the fixed conductor-11 model.
 
     Counts solutions of y^2 + y = x^3 - x^2 - 10x - 20 plus the point at
-    infinity; exhaustive (x, y) loop for small ell, per-x square counting
-    for large ell (still an exact point count).
+    infinity.  a1 = 0, so the left side does not depend on x: one table
+    of how many y give each value of y^2 + y, read at the right side of
+    every x, is an exact count in O(ell) for every good prime, 2 included.
     """
     from .lengthspec import _is_prime
     if ell == LEVEL:
         raise BadPrimeError("the level is a bad prime for this model")
     if not _is_prime(ell):
         raise BadPrimeError(f"{ell} is not prime")
-    a1, a2, a3, a4, a6 = WEIERSTRASS
-    if exhaustive is None:
-        exhaustive = ell <= 1000
-    if exhaustive:
-        count = 1  # infinity
-        for x in range(ell):
-            rhs = (x * x * x + a2 * x * x + a4 * x + a6) % ell
-            for y in range(ell):
-                if (y * y + a1 * x * y + a3 * y) % ell == rhs:
-                    count += 1
-        a = ell + 1 - count
-    elif ell == 2:
-        return point_count_ap(2, exhaustive=True)
-    else:
-        # complete the square: (2y+1)^2 = 4(x^3 - x^2 - 10x - 20) + 1
-        x = np.arange(ell, dtype=np.int64)
-        gx = (4 * (((x - 1) % ell * x % ell - 10) % ell * x % ell - 20) + 1) % ell
-        sq = np.zeros(ell, dtype=np.int8)
-        sq[(x * x) % ell] = 1
-        chi = np.where(gx == 0, 0, np.where(sq[gx] == 1, 1, -1))
-        a = -int(chi.sum())
+    _, a2, a3, a4, a6 = WEIERSTRASS
+    x = y = np.arange(ell, dtype=np.int64)
+    roots = np.bincount((y * y + a3 * y) % ell, minlength=ell)
+    rhs = (((x + a2) * x % ell + a4) * x % ell + a6) % ell
+    a = ell - int(roots[rhs].sum())
     if a * a > 4 * ell:
         raise ArithmeticError(f"Hasse bound violated at {ell}: a = {a}")
     return a

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from zal.cli import main
 
 
@@ -55,6 +57,13 @@ class TestSpectrum:
         run_cli(["spectrum", "--group", "gamma2", "--max-trace", "10", "--out", str(a)])
         run_cli(["spectrum", "--group", "gamma2", "--max-trace", "10", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("group", ["full", "gamma2"])
+    def test_level_for_levelless_group_rejected(self, group):
+        code, out, err = run_cli(["spectrum", "--group", group, "--p", "13",
+                                  "--max-trace", "8"])
+        assert code == 2 and out == ""
+        assert f"{group} takes no level" in err and "usage" in err.lower()
 
 
 class TestMisc:

@@ -121,6 +121,12 @@ class TestModularSpectrum:
         assert ls.modular_spectrum(hi).filtered(lo).entries == \
             ls.modular_spectrum(lo).entries
 
+    def test_filter_above_completeness_raises(self):
+        sp = ls.modular_spectrum(10)
+        assert sp.filtered(10) == sp
+        with pytest.raises(ValueError):
+            sp.filtered(40)
+
 
 def oracles_count_below(L: float) -> int:
     """Word-oracle count of primitive classes with length <= L."""
@@ -148,6 +154,47 @@ class TestAmbientClasses:
         for t in (7, 14):  # traces where proper powers of the same trace exist
             for M in ls.ambient_classes(t):
                 assert not oracles.is_power_in_group(M, full)
+
+
+def _ambient_classes_by_content_scan(t):
+    """The former ambient_classes: for each content u with (t, u) the
+    fundamental Pell solution of d0 = (t^2 - 4)/u^2, the u-multiples of one
+    primitive reduced form per cycle of d0."""
+    D = t * t - 4
+    reps = []
+    u = 1
+    while u * u <= D:
+        if D % (u * u) == 0:
+            d0 = D // (u * u)
+            if d0 % 4 in (0, 1) and d0 >= 5 and ls.pell_fundamental(d0) == (t, u):
+                prim = [f for f in ls.reduced_forms(d0) if math.gcd(*f) == 1]
+                for cyc in ls.form_cycles(prim, d0):
+                    f0 = cyc[0]
+                    reps.append(ls.matrix_of_form((u * f0[0], u * f0[1], u * f0[2]), t))
+        u += 1
+    return reps
+
+
+class TestCycleWalk:
+    def test_ambient_classes_match_content_scan(self):
+        for t in range(3, 301):
+            assert sorted(ls.ambient_classes(t)) == \
+                sorted(_ambient_classes_by_content_scan(t)), t
+
+    def test_step_product_is_fundamental_automorph(self):
+        # every cycle, any content, principal cycles included: the step
+        # product is +- the automorph built from pell_fundamental
+        for D in range(5, 2000):
+            if not ls.is_discriminant(D):
+                continue
+            for cyc in ls.form_cycles(ls.reduced_forms(D), D):
+                M = ls._cycle(cyc[0], D)[1]
+                A = oracles.primitive_automorph(cyc[0])
+                assert M in (A, tuple(-x for x in A)), (D, cyc[0])
+
+    def test_walk_rejects_unreduced_start(self):
+        with pytest.raises(ValueError):
+            ls._cycle((1, 0, -5), 20)
 
 
 class TestSubgroupSpectrum:
