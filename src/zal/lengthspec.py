@@ -17,6 +17,11 @@ The convention is the standard one: primitive *oriented* closed
 geodesics, equivalently conjugacy classes of primitive hyperbolic
 elements; length = 2 arccosh(t/2).
 
+The number of primitive classes of each trace t and content u comes
+from Dirichlet's class-number formula with certified rounding
+(``classnum``); the cycles remain its exact reference and fallback, and
+give explicit class representatives.
+
 Subgroup spectra come from the covering of the modular surface: a
 primitive ambient class M of trace t acts on the cosets of the subgroup,
 and each orbit of size k contributes one primitive class of trace
@@ -253,17 +258,23 @@ def _cycle(start: Form, D: int) -> tuple[list[Form], Mat]:
     return forms, M
 
 
-def form_cycles(forms: Iterable[Form], D: int) -> list[list[Form]]:
-    """Partition reduced forms into rho-cycles."""
+def _cycles(forms: Iterable[Form], D: int) -> Iterator[tuple[list[Form], Mat]]:
+    """The rho-cycles of the given reduced forms with their step products,
+    each started at its least form, in the order of those forms."""
     remaining = set(forms)
-    cycles: list[list[Form]] = []
-    while remaining:
-        cyc = _cycle(min(remaining), D)[0]
+    for start in sorted(remaining):
+        if start not in remaining:
+            continue
+        cyc, M = _cycle(start, D)
         if not remaining.issuperset(cyc):
             raise RuntimeError(f"rho walk left the given forms at D={D}")
         remaining.difference_update(cyc)
-        cycles.append(cyc)
-    return cycles
+        yield cyc, M
+
+
+def form_cycles(forms: Iterable[Form], D: int) -> list[list[Form]]:
+    """Partition reduced forms into rho-cycles."""
+    return [cyc for cyc, _ in _cycles(forms, D)]
 
 
 def class_number_indefinite(D: int) -> int:
@@ -347,21 +358,15 @@ def ambient_classes(t: int) -> list[Mat]:
     if t < 3:
         return []
     D = t * t - 4
-    reps: list[Mat] = []
-    remaining = set(reduced_forms(D))
-    while remaining:
-        forms, M = _cycle(min(remaining), D)
-        remaining.difference_update(forms)
-        if abs(M[0] + M[3]) == t:
-            reps.append(matrix_of_form(forms[0], t))
-    return reps
+    return [matrix_of_form(forms[0], t) for forms, M in _cycles(reduced_forms(D), D)
+            if abs(M[0] + M[3]) == t]
 
 
-@cache
-def _class_counts(t: int) -> tuple[tuple[int, int], ...]:
-    """(content u, number of primitive classes) pairs of trace t; counts
-    only, so the cache stays small."""
-    return tuple(Counter(gcd(*form_of_matrix(M)) for M in ambient_classes(t)).items())
+def _cycle_counts(t: int) -> tuple[tuple[int, int], ...]:
+    """(content u, number of primitive classes) pairs of trace t, counted on
+    the reduction cycles: the exact reference and fallback of the
+    class-number route."""
+    return tuple(sorted(Counter(gcd(*form_of_matrix(M)) for M in ambient_classes(t)).items()))
 
 
 def geodesic_length(t: int) -> float:
@@ -544,9 +549,12 @@ def _spectrum(spec: GroupSpec, max_trace: int) -> LengthSpectrum:
     N = {GroupKind.FULL: 1, GroupKind.PRINCIPAL2: 2}.get(spec.kind, spec.p)
     if N is None:
         raise _no_level(spec)
+    from . import classnum  # loads numpy and scipy: only where a spectrum is counted
+
+    rows = classnum.CLASS_COUNTS.upto(max_trace)
     counts: dict[int, int] = {}
     for t in range(3, max_trace + 1):
-        for u, h in _class_counts(t):
+        for u, h in rows[t]:
             for k in _orbit_sizes(spec, t % N, u % N == 0):
                 tk = trace_of_power(t, k)
                 if tk > max_trace:

@@ -53,6 +53,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gamma as _cgamma
 
+from .classnum import smallest_prime_factors
+
 __all__ = [
     "QExpansion",
     "Sym2LocalFactor",
@@ -314,10 +316,7 @@ def _sym2_coeff_rows(f: QExpansion, N: int, bad_betas: tuple[int | None, ...],
     product is exact while they stay below 2^53.
     ``prime_cap`` truncates the Euler product for the truncation study.
     """
-    spf = np.zeros(N + 1, dtype=np.int64)
-    for p in range(2, N + 1):
-        if spf[p] == 0:
-            spf[p::p] = np.where(spf[p::p] == 0, p, spf[p::p])
+    spf = smallest_prime_factors(N)
     c = np.zeros(N + 1)
     c[1] = 1.0
     powers: dict[int, list[float]] = {}

@@ -110,24 +110,38 @@ def subst(form: Form, h: Mat) -> Form:
 def reduce_with_transform(form: Form) -> tuple[Form, Mat]:
     """(reduced form R, h) with R = subst(form, h), h in SL2(Z).
 
-    Applies rho steps until a reduced form is reached; each step's
-    translation, chosen by ``rho_step``, puts the new middle coefficient
-    in the window just below sqrt(D).
+    Applies rho steps until a reduced form is reached.  While the new first
+    coefficient a has a^2 > D, one translation moves the new middle
+    coefficient b into (-|a|, |a|], so the next step gives
+    |c'| = |b^2 - D|/(4|a|) <= a^2/(4|a|) = |a|/4: once |c| > sqrt(D), each
+    step quarters |c|.  After k steps, 16^k D >= c^2, |c| < sqrt(D); the
+    next step puts b in (sqrt(D) - 2|a|, sqrt(D)), which is reduced when
+    |a| < sqrt(D)/2 and otherwise leaves |c'| < D/(4|a|) < sqrt(D)/2, so one
+    more step ends the walk: at most k + 2 steps (the centred normalisation
+    of Buchmann-Vollmer, Binary Quadratic Forms, ch. 6).  Without the
+    translation, b may stay near -2|c| and the walk takes about sqrt(|c|)
+    steps, as from (1, 1 - 2n, n^2 - n - 1).  D is not a square, so c never
+    vanishes.
     """
     a, b, c = form
     D = b * b - 4 * a * c
     if D <= 0 or isqrt(D) ** 2 == D:
         raise ValueError("needs a positive non-square discriminant")
-    h = M_ID
-    cur = form
-    for _ in range(10_000):
-        if is_reduced(cur, D):
-            return cur, h
-        if cur[2] == 0:
-            raise ValueError("degenerate form")
+    k = 0
+    while c * c > (D << (4 * k)):
+        k += 1
+    bound = k + 2
+    cur, h, steps = form, M_ID, 0
+    while not is_reduced(cur, D):
+        if steps == bound:
+            raise RuntimeError(f"reduction of {form} exceeded its bound of {bound} steps")
+        steps += 1
         cur, step = rho_step(cur, D)
         h = mat_mul(h, step)
-    raise RuntimeError("reduction did not terminate")
+        if cur[0] * cur[0] > D and cur[1] <= -abs(cur[0]):
+            shift = (1, 1 if cur[0] > 0 else -1, 0, 1)
+            cur, h = subst(cur, shift), mat_mul(h, shift)
+    return cur, h
 
 
 def _form_content(form: Form) -> int:

@@ -35,6 +35,9 @@ CASES = {
     "spectrum_gamma1_p31_T35.txt": ["spectrum", "--group", "gamma1", "--p", "31",
                                     "--max-trace", "35"],
     "spectrum_gamma2_T130.txt": ["spectrum", "--group", "gamma2", "--max-trace", "130"],
+    "spectrum_full_T1280.txt": ["spectrum", "--group", "full", "--max-trace", "1280"],
+    "spectrum_gamma0_p31_T466.txt": ["spectrum", "--group", "gamma0", "--p", "31",
+                                     "--max-trace", "466"],
     "theoremB_gamma2.json": ["theoremB", "--group", "gamma2"],
     "theoremB_gamma0_p23.json": ["theoremB", "--group", "gamma0", "--p", "23"],
     "constants_check.json": ["constants", "check"],

@@ -68,6 +68,14 @@ def _det(S):
     return S[0] * S[3] - S[1] * S[2]
 
 
+def _assert_reduces(form):
+    D = form[1] ** 2 - 4 * form[0] * form[2]
+    R, h = oracles.reduce_with_transform(form)
+    assert _det(h) == 1
+    assert oracles.subst(form, h) == R
+    assert ls.is_reduced(R, D)
+
+
 class TestRhoStep:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=5, max_value=4000).filter(ls.is_discriminant))
@@ -83,11 +91,24 @@ class TestRhoStep:
                      st.integers(-300, 300))
            .filter(lambda f: ls.is_discriminant(f[1] ** 2 - 4 * f[0] * f[2])))
     def test_reduce_with_transform_of_any_form(self, form):
-        D = form[1] ** 2 - 4 * form[0] * form[2]
-        R, h = oracles.reduce_with_transform(form)
-        assert _det(h) == 1
-        assert oracles.subst(form, h) == R
-        assert ls.is_reduced(R, D)
+        _assert_reduces(form)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*[st.integers(-10 ** 40, 10 ** 40)] * 3)
+           .filter(lambda f: ls.is_discriminant(f[1] ** 2 - 4 * f[0] * f[2])))
+    def test_reduce_with_transform_of_40_digit_forms(self, form):
+        _assert_reduces(form)
+
+    @pytest.mark.parametrize("n", [12_000, 10 ** 20])
+    def test_reduce_with_transform_when_b_sits_near_minus_2c(self, n):
+        # D = 5; a walk that never centres b takes about n steps from here
+        _assert_reduces((1, 1 - 2 * n, n * n - n - 1))
+
+    def test_reduce_with_transform_states_its_bound(self, monkeypatch):
+        # c^2 = 89699^2 <= 16^8 * 5: 8 quartering steps plus 2
+        monkeypatch.setattr(oracles, "is_reduced", lambda form, D: False)
+        with pytest.raises(RuntimeError, match="bound of 10 steps"):
+            oracles.reduce_with_transform((1, 1 - 2 * 300, 300 * 300 - 300 - 1))
 
 
 class TestModularSpectrum:
@@ -195,6 +216,27 @@ class TestCycleWalk:
     def test_walk_rejects_unreduced_start(self):
         with pytest.raises(ValueError):
             ls._cycle((1, 0, -5), 20)
+
+
+def _cycles_by_least_remaining(forms, D):
+    """The former cycle partition: repeatedly walk from the least form left."""
+    remaining = set(forms)
+    out = []
+    while remaining:
+        cyc, M = ls._cycle(min(remaining), D)
+        remaining.difference_update(cyc)
+        out.append((cyc, M))
+    return out
+
+
+class TestCycleOrder:
+    def test_same_cycles_and_representatives_as_least_remaining_walk(self):
+        for t in range(3, 201):
+            D = t * t - 4
+            want = _cycles_by_least_remaining(ls.reduced_forms(D), D)
+            assert ls.form_cycles(ls.reduced_forms(D), D) == [c for c, _ in want], t
+            assert ls.ambient_classes(t) == [ls.matrix_of_form(c[0], t) for c, M in want
+                                             if abs(M[0] + M[3]) == t], t
 
 
 class TestSubgroupSpectrum:
