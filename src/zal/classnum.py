@@ -15,7 +15,7 @@ L-value comes from the erfc/E1 series with about 3.3 sqrt(D) terms and
 a bound on the series tail, the special-function error and the
 summation error.  A count is rounded only when its distance to the
 nearest integer plus the bound is below 1/2; otherwise that trace is
-counted on the reduction cycles (``lengthspec._cycle_counts``), and
+counted on the reduction cycles (``oracles._cycle_counts``), and
 ``CLASS_COUNTS.fallbacks`` counts such traces.  The counts are kept in
 one table per process, filled up to the largest trace asked for.
 
@@ -33,7 +33,7 @@ from math import isqrt
 import numpy as np
 from scipy.special import erfc, exp1
 
-from .lengthspec import _cycle_counts
+from .oracles import _cycle_counts
 
 # series terms per sqrt(D): the tail bound is then below 1e-17 sqrt(D)
 _TERMS_PER_ROOT = 3.3

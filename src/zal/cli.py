@@ -249,13 +249,20 @@ def cmd_theorem_b(args) -> int:
     env.record("l_slot_exponent", str(exps.l_exponent), EXACT)
     try:
         val, caveats = predict_zprime(spec, sc)
-        env.record("numeric_prediction", val, abs(val) * 1e-9)
-        env.caveats.extend(caveats)
     except ValueError:
         env.record("numeric_prediction", None, EXACT)
         env.caveats.extend(list(exps.caveats)
                            + ["no L-value pipeline for this level; "
                               "exponents are exact, prediction omitted"])
+    else:
+        rel_err = 1e-9
+        if exps.l_exponent != 0:  # then predict_zprime used the cached level-11 L
+            from .modforms import level11_sym2
+            sym = level11_sym2()
+            rel_err += abs(float(exps.l_exponent)) * sym.est_error / sym.value
+            caveats += ("the bound propagates the L-value's est_error, a heuristic residual",)
+        env.record("numeric_prediction", val, abs(val) * rel_err)
+        env.caveats.extend(caveats)
     env.pass_fail = {"ledger_matches_closed_forms": True}
     if spec.kind.value == "gamma2":
         env.pass_fail["anchor"] = (exps.b, exps.c) == (Fraction(5, 3), Fraction(-8, 3))

@@ -1,26 +1,14 @@
 """Primitive geodesic length spectra of the modular group and congruence subgroups.
 
-The primitive length spectrum of the modular surface is enumerated
-through the classical dictionary between hyperbolic conjugacy classes of
-trace t and cycles of Gauss-reduced indefinite binary quadratic forms of
-discriminant t^2 - 4.  Two traps are handled explicitly:
-
-* a cycle of any content is a *primitive group element* only when the
-  product of the rho steps once around it, which generates the
-  automorphs of its forms, has trace +-t; a cycle of content u > 1 whose
-  step product has a smaller trace is a proper power and must not be
-  counted;
-* equivalence of forms is proper (SL2) equivalence, i.e. cycles, not
-  ambiguous GL2 classes.
-
 The convention is the standard one: primitive *oriented* closed
 geodesics, equivalently conjugacy classes of primitive hyperbolic
 elements; length = 2 arccosh(t/2).
 
-The number of primitive classes of each trace t and content u comes
-from Dirichlet's class-number formula with certified rounding
-(``classnum``); the cycles remain its exact reference and fallback, and
-give explicit class representatives.
+The number of primitive classes of each trace t and content u, the
+content of their fixed-point form, comes from Dirichlet's class-number
+formula with certified rounding (``classnum``).  The reduction cycles
+that check those counts, serve as their fallback and give explicit class
+representatives live in ``oracles``.
 
 Subgroup spectra come from the covering of the modular surface: a
 primitive ambient class M of trace t acts on the cosets of the subgroup,
@@ -32,8 +20,7 @@ N up to GL2(Z/N) conjugation, and that class is fixed by (t mod N, N | u),
 u the content of M's fixed-point form: M is +-I mod N exactly when N | u,
 and otherwise conjugate to the companion matrix of x^2 - t x + 1
 (Fulton-Harris, Representation Theory, 5.2).  Every spectrum is thus a
-sum over class counts per (t, u) and one orbit-size table per group;
-explicit lifting is kept only for subgroup class representatives.
+sum over class counts per (t, u) and one orbit-size table per group.
 
 Everything here is exact integer arithmetic except the final lengths.
 """
@@ -41,12 +28,10 @@ Everything here is exact integer arithmetic except the final lengths.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from math import gcd, isqrt
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = [
     "GroupKind",
@@ -54,17 +39,13 @@ __all__ = [
     "GeodesicClass",
     "LengthSpectrum",
     "group_invariants",
-    "class_number_indefinite",
     "modular_spectrum",
     "subgroup_spectrum",
-    "subgroup_class_representatives",
-    "ambient_classes",
     "trace_of_power",
     "spectrum_to_csv",
 ]
 
 Mat = tuple[int, int, int, int]  # row-major 2x2 integer matrix
-Form = tuple[int, int, int]      # (a, b, c) <-> a x^2 + b xy + c y^2
 
 M_ID: Mat = (1, 0, 0, 1)
 
@@ -174,167 +155,9 @@ def group_invariants(spec: GroupSpec) -> tuple[int, int, int]:
     return num // 12, n, m
 
 
-# ---------------------------------------------------------------------------
-# indefinite binary quadratic forms
-
-
-def is_discriminant(D: int) -> bool:
-    return D > 0 and D % 4 in (0, 1) and isqrt(D) ** 2 != D
-
-
-def is_reduced(form: Form, D: int) -> bool:
-    """Gauss-reduced: |sqrt(D) - 2|a|| < b < sqrt(D), exact integer test."""
-    a, b, c = form
-    if b <= 0 or b * b >= D:
-        return False
-    ta = 2 * abs(a)
-    if (ta + b) ** 2 <= D:
-        return False
-    if ta > b and (ta - b) ** 2 >= D:
-        return False
-    return True
-
-
-def reduced_forms(D: int) -> list[Form]:
-    """All Gauss-reduced forms of discriminant D (any content)."""
-    if not is_discriminant(D):
-        raise ValueError(f"{D} is not a positive non-square discriminant")
-    out: list[Form] = []
-    r = isqrt(D)
-    for b in range(1, r + 1):
-        if (D - b * b) % 4:
-            continue
-        ac = (b * b - D) // 4  # negative
-        m = -ac
-        for a in _signed_divisors(m):
-            c = ac // a
-            if is_reduced((a, b, c), D):
-                out.append((a, b, c))
-    return out
-
-
-def _signed_divisors(m: int) -> Iterator[int]:
-    for d in range(1, isqrt(m) + 1):
-        if m % d == 0:
-            yield d
-            yield -d
-            e = m // d
-            if e != d:
-                yield e
-                yield -e
-
-
-def rho_step(form: Form, D: int) -> tuple[Form, Mat]:
-    """Right neighbour g in the reduction cycle and the step S = [[0,-1],[1,s]].
-
-    g is the form Q(S (x, y)); the step is defined for any form with
-    c != 0 and maps reduced forms to reduced forms.
-    """
-    a, b, c = form
-    tc = 2 * abs(c)
-    r = isqrt(D)  # floor(sqrt(D)); b' < sqrt(D) means b' <= r
-    b2 = -b % tc
-    b2 += ((r - b2) // tc) * tc  # largest value <= r in the class
-    c2 = (b2 * b2 - D) // (4 * c)
-    return (c, b2, c2), (0, -1, 1, (b + b2) // (2 * c))
-
-
-def _cycle(start: Form, D: int) -> tuple[list[Form], Mat]:
-    """The rho-cycle of a reduced form and the product of its steps.
-
-    The product generates, up to sign, the automorphs of ``start``
-    (Buchmann-Vollmer, Binary Quadratic Forms, ch. 6; Cohen, GTM 138,
-    5.7).  rho permutes the finitely many reduced forms of D, so the walk
-    comes back to ``start``.
-    """
-    if not is_reduced(start, D):
-        raise ValueError(f"{start} is not reduced at D={D}")
-    forms = [start]
-    cur, M = rho_step(start, D)
-    while cur != start:
-        forms.append(cur)
-        cur, step = rho_step(cur, D)
-        M = mat_mul(M, step)
-    return forms, M
-
-
-def _cycles(forms: Iterable[Form], D: int) -> Iterator[tuple[list[Form], Mat]]:
-    """The rho-cycles of the given reduced forms with their step products,
-    each started at its least form, in the order of those forms."""
-    remaining = set(forms)
-    for start in sorted(remaining):
-        if start not in remaining:
-            continue
-        cyc, M = _cycle(start, D)
-        if not remaining.issuperset(cyc):
-            raise RuntimeError(f"rho walk left the given forms at D={D}")
-        remaining.difference_update(cyc)
-        yield cyc, M
-
-
-def form_cycles(forms: Iterable[Form], D: int) -> list[list[Form]]:
-    """Partition reduced forms into rho-cycles."""
-    return [cyc for cyc, _ in _cycles(forms, D)]
-
-
-def class_number_indefinite(D: int) -> int:
-    """Number of reduction cycles of discriminant D, all contents included."""
-    return len(form_cycles(reduced_forms(D), D))
-
-
-def pell_fundamental(d0: int) -> tuple[int, int]:
-    """Fundamental solution (T, U), T, U > 0, of T^2 - d0 U^2 = 4.
-
-    The step product of the cycle of the principal reduced form (1, b, c)
-    is, up to sign, [[(T - bU)/2, -cU], [U, (T + bU)/2]].
-    """
-    if not is_discriminant(d0):
-        raise ValueError(f"{d0} is not a valid discriminant")
-    r = isqrt(d0)
-    b = r if (r - d0) % 2 == 0 else r - 1
-    M = _cycle((1, b, (b * b - d0) // 4), d0)[1]
-    return abs(M[0] + M[3]), abs(M[2])
-
-
-# ---------------------------------------------------------------------------
-# conjugacy classes of the modular group
-
-
-def form_of_matrix(M: Mat) -> Form:
-    """Fixed-point form (c, d-a, -b) of a hyperbolic matrix [[a,b],[c,d]]."""
-    a, b, c, d = M
-    return (c, d - a, -b)
-
-
-def matrix_of_form(form: Form, t: int) -> Mat:
-    """The trace-t automorph [[ (t-b)/2, -c ], [ a, (t+b)/2 ]] of (a,b,c)."""
-    a, b, c = form
-    if (t - b) % 2:
-        raise ValueError("trace/parity mismatch")
-    return ((t - b) // 2, -c, a, (t + b) // 2)
-
-
 def mat_mul(x: Mat, y: Mat) -> Mat:
     return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
             x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
-
-
-def mat_inv(x: Mat) -> Mat:
-    a, b, c, d = x
-    if a * d - b * c != 1:
-        raise ValueError("not unimodular")
-    return (d, -b, -c, a)
-
-
-def mat_pow(x: Mat, k: int) -> Mat:
-    out = M_ID
-    base = x
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
 
 
 def trace_of_power(t: int, k: int) -> int:
@@ -345,28 +168,6 @@ def trace_of_power(t: int, k: int) -> int:
     for _ in range(k - 1):
         prev, cur = cur, t * cur - prev
     return cur
-
-
-def ambient_classes(t: int) -> list[Mat]:
-    """Representatives of the primitive hyperbolic classes of trace t.
-
-    One cycle of reduced forms of discriminant t^2-4, any content, per
-    class.  A cycle is kept only when its step product, the fundamental
-    automorph of its forms, has trace +-t; otherwise the class of trace t
-    is a proper power.
-    """
-    if t < 3:
-        return []
-    D = t * t - 4
-    return [matrix_of_form(forms[0], t) for forms, M in _cycles(reduced_forms(D), D)
-            if abs(M[0] + M[3]) == t]
-
-
-def _cycle_counts(t: int) -> tuple[tuple[int, int], ...]:
-    """(content u, number of primitive classes) pairs of trace t, counted on
-    the reduction cycles: the exact reference and fallback of the
-    class-number route."""
-    return tuple(sorted(Counter(gcd(*form_of_matrix(M)) for M in ambient_classes(t)).items()))
 
 
 def geodesic_length(t: int) -> float:
@@ -575,29 +376,6 @@ def subgroup_spectrum(spec: GroupSpec, max_trace: int) -> LengthSpectrum:
     lies over an ambient class of trace <= max_trace.
     """
     return _spectrum(spec, max_trace)
-
-
-def subgroup_class_representatives(spec: GroupSpec, max_trace: int) -> dict[int, list[Mat]]:
-    """Explicit subgroup-conjugacy class representatives, keyed by trace.
-
-    For each ambient class [M] and each coset orbit of size k with orbit
-    member label l and representative x_l, the matrix x_l M^k x_l^{-1}
-    lies in the subgroup and represents one primitive class.
-    """
-    reps = _coset_table(spec)[2]
-    out: dict[int, list[Mat]] = {}
-    for t in range(3, max_trace + 1):
-        for M in ambient_classes(t):
-            for i, k in _orbits(coset_permutation(spec, M)):
-                tk = trace_of_power(t, k)
-                if tk > max_trace:
-                    continue
-                x = reps[i]
-                W = mat_mul(mat_mul(x, mat_pow(M, k)), mat_inv(x))
-                if not contains(spec, W):
-                    raise RuntimeError("lifted representative escaped the subgroup")
-                out.setdefault(tk, []).append(W)
-    return out
 
 
 def spectrum_to_csv(spectrum: LengthSpectrum) -> str:

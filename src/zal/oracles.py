@@ -1,6 +1,20 @@
-"""Independent brute-force oracles for the length-spectrum enumeration.
+"""Reduction cycles and independent brute-force oracles for the length spectra.
 
-Three layers, none of which trusts the production counting route:
+Hyperbolic conjugacy classes of the modular group of trace t correspond
+to cycles of Gauss-reduced indefinite binary quadratic forms of
+discriminant t^2 - 4.  The cycles count the classes exactly, as the
+reference and fallback of ``classnum``, and give explicit class
+representatives.  Two traps are handled explicitly:
+
+* a cycle of any content is a *primitive group element* only when the
+  product of the rho steps once around it, which generates the
+  automorphs of its forms, has trace +-t; a cycle of content u > 1 whose
+  step product has a smaller trace is a proper power and must not be
+  counted;
+* equivalence of forms is proper (SL2) equivalence, i.e. cycles, not
+  ambiguous GL2 classes.
+
+Three oracle layers, none of which trusts the production counting route:
 
 1. word oracle: hyperbolic conjugacy classes of the modular group are
    cyclic words R^{a1} L^{b1} ... R^{ak} L^{bk} with positive exponents,
@@ -12,7 +26,8 @@ Three layers, none of which trusts the production counting route:
    solution h of h^-1 V h = W is produced by reducing the fixed-point
    forms with tracked transformations; the full solution set is
    z^i h for the primitive automorph z of the common axis, so V ~_Gamma W
-   iff z^i h lands in Gamma for some i below the coset order of z.
+   iff z^i h lands in Gamma for some i below the coset order of z.  The
+   same z and order decide whether an element is a power in Gamma.
 
 3. bounded-entry enumeration of subgroup elements, classified with the
    exact decision; comparing per-trace class counts against the
@@ -22,26 +37,12 @@ Three layers, none of which trusts the production counting route:
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd, isqrt
+from typing import Iterable, Iterator
 
-from .lengthspec import (
-    Form,
-    GroupSpec,
-    Mat,
-    M_ID,
-    _signed_divisors,
-    contains,
-    form_of_matrix,
-    group_invariants,
-    is_reduced,
-    mat_inv,
-    mat_mul,
-    mat_pow,
-    matrix_of_form,
-    pell_fundamental,
-    rho_step,
-    trace_of_power,
-)
+from .lengthspec import (M_ID, GroupSpec, Mat, _coset_table, _orbits, contains,
+                         coset_permutation, group_invariants, mat_mul, trace_of_power)
 
 __all__ = [
     "word_class_counts",
@@ -50,6 +51,207 @@ __all__ = [
     "bruteforce_subgroup_counts",
     "is_power_in_group",
 ]
+
+Form = tuple[int, int, int]  # (a, b, c) <-> a x^2 + b xy + c y^2
+
+
+# ---------------------------------------------------------------------------
+# indefinite binary quadratic forms
+
+
+def is_discriminant(D: int) -> bool:
+    return D > 0 and D % 4 in (0, 1) and isqrt(D) ** 2 != D
+
+
+def is_reduced(form: Form, D: int) -> bool:
+    """Gauss-reduced: |sqrt(D) - 2|a|| < b < sqrt(D), exact integer test."""
+    a, b, c = form
+    if b <= 0 or b * b >= D:
+        return False
+    ta = 2 * abs(a)
+    if (ta + b) ** 2 <= D:
+        return False
+    if ta > b and (ta - b) ** 2 >= D:
+        return False
+    return True
+
+
+def reduced_forms(D: int) -> list[Form]:
+    """All Gauss-reduced forms of discriminant D (any content)."""
+    if not is_discriminant(D):
+        raise ValueError(f"{D} is not a positive non-square discriminant")
+    out: list[Form] = []
+    r = isqrt(D)
+    for b in range(1, r + 1):
+        if (D - b * b) % 4:
+            continue
+        ac = (b * b - D) // 4  # negative
+        m = -ac
+        for a in _signed_divisors(m):
+            c = ac // a
+            if is_reduced((a, b, c), D):
+                out.append((a, b, c))
+    return out
+
+
+def _signed_divisors(m: int) -> Iterator[int]:
+    for d in range(1, isqrt(m) + 1):
+        if m % d == 0:
+            yield d
+            yield -d
+            e = m // d
+            if e != d:
+                yield e
+                yield -e
+
+
+def rho_step(form: Form, D: int) -> tuple[Form, Mat]:
+    """Right neighbour g in the reduction cycle and the step S = [[0,-1],[1,s]].
+
+    g is the form Q(S (x, y)); the step is defined for any form with
+    c != 0 and maps reduced forms to reduced forms.
+    """
+    a, b, c = form
+    tc = 2 * abs(c)
+    r = isqrt(D)  # floor(sqrt(D)); b' < sqrt(D) means b' <= r
+    b2 = -b % tc
+    b2 += ((r - b2) // tc) * tc  # largest value <= r in the class
+    c2 = (b2 * b2 - D) // (4 * c)
+    return (c, b2, c2), (0, -1, 1, (b + b2) // (2 * c))
+
+
+def _cycle(start: Form, D: int) -> tuple[list[Form], Mat]:
+    """The rho-cycle of a reduced form and the product of its steps.
+
+    The product generates, up to sign, the automorphs of ``start``
+    (Buchmann-Vollmer, Binary Quadratic Forms, ch. 6; Cohen, GTM 138,
+    5.7).  rho permutes the finitely many reduced forms of D, so the walk
+    comes back to ``start``.
+    """
+    if not is_reduced(start, D):
+        raise ValueError(f"{start} is not reduced at D={D}")
+    forms = [start]
+    cur, M = rho_step(start, D)
+    while cur != start:
+        forms.append(cur)
+        cur, step = rho_step(cur, D)
+        M = mat_mul(M, step)
+    return forms, M
+
+
+def _cycles(forms: Iterable[Form], D: int) -> Iterator[tuple[list[Form], Mat]]:
+    """The rho-cycles of the given reduced forms with their step products,
+    each started at its least form, in the order of those forms."""
+    remaining = set(forms)
+    for start in sorted(remaining):
+        if start not in remaining:
+            continue
+        cyc, M = _cycle(start, D)
+        if not remaining.issuperset(cyc):
+            raise RuntimeError(f"rho walk left the given forms at D={D}")
+        remaining.difference_update(cyc)
+        yield cyc, M
+
+
+def form_cycles(forms: Iterable[Form], D: int) -> list[list[Form]]:
+    """Partition reduced forms into rho-cycles."""
+    return [cyc for cyc, _ in _cycles(forms, D)]
+
+
+def pell_fundamental(d0: int) -> tuple[int, int]:
+    """Fundamental solution (T, U), T, U > 0, of T^2 - d0 U^2 = 4.
+
+    The step product of the cycle of the principal reduced form (1, b, c)
+    is, up to sign, [[(T - bU)/2, -cU], [U, (T + bU)/2]].
+    """
+    if not is_discriminant(d0):
+        raise ValueError(f"{d0} is not a valid discriminant")
+    r = isqrt(d0)
+    b = r if (r - d0) % 2 == 0 else r - 1
+    M = _cycle((1, b, (b * b - d0) // 4), d0)[1]
+    return abs(M[0] + M[3]), abs(M[2])
+
+
+# ---------------------------------------------------------------------------
+# conjugacy classes of the modular group
+
+
+def form_of_matrix(M: Mat) -> Form:
+    """Fixed-point form (c, d-a, -b) of a hyperbolic matrix [[a,b],[c,d]]."""
+    a, b, c, d = M
+    return (c, d - a, -b)
+
+
+def matrix_of_form(form: Form, t: int) -> Mat:
+    """The trace-t automorph [[ (t-b)/2, -c ], [ a, (t+b)/2 ]] of (a,b,c)."""
+    a, b, c = form
+    if (t - b) % 2:
+        raise ValueError("trace/parity mismatch")
+    return ((t - b) // 2, -c, a, (t + b) // 2)
+
+
+def mat_inv(x: Mat) -> Mat:
+    a, b, c, d = x
+    if a * d - b * c != 1:
+        raise ValueError("not unimodular")
+    return (d, -b, -c, a)
+
+
+def mat_pow(x: Mat, k: int) -> Mat:
+    out = M_ID
+    base = x
+    while k:
+        if k & 1:
+            out = mat_mul(out, base)
+        base = mat_mul(base, base)
+        k >>= 1
+    return out
+
+
+def ambient_classes(t: int) -> list[Mat]:
+    """Representatives of the primitive hyperbolic classes of trace t.
+
+    One cycle of reduced forms of discriminant t^2-4, any content, per
+    class.  A cycle is kept only when its step product, the fundamental
+    automorph of its forms, has trace +-t; otherwise the class of trace t
+    is a proper power.
+    """
+    if t < 3:
+        return []
+    D = t * t - 4
+    return [matrix_of_form(forms[0], t) for forms, M in _cycles(reduced_forms(D), D)
+            if abs(M[0] + M[3]) == t]
+
+
+def _cycle_counts(t: int) -> tuple[tuple[int, int], ...]:
+    """(content u, number of primitive classes) pairs of trace t, counted on
+    the reduction cycles: the exact reference and fallback of the
+    class-number route."""
+    return tuple(sorted(Counter(gcd(*form_of_matrix(M)) for M in ambient_classes(t)).items()))
+
+
+def subgroup_class_representatives(spec: GroupSpec, max_trace: int) -> dict[int, list[Mat]]:
+    """Explicit subgroup-conjugacy class representatives, keyed by trace.
+
+    For each ambient class [M] and each coset orbit of size k with orbit
+    member label l and representative x_l, the matrix x_l M^k x_l^{-1}
+    lies in the subgroup and represents one primitive class.
+    """
+    reps = _coset_table(spec)[2]
+    out: dict[int, list[Mat]] = {}
+    for t in range(3, max_trace + 1):
+        for M in ambient_classes(t):
+            for i, k in _orbits(coset_permutation(spec, M)):
+                tk = trace_of_power(t, k)
+                if tk > max_trace:
+                    continue
+                x = reps[i]
+                W = mat_mul(mat_mul(x, mat_pow(M, k)), mat_inv(x))
+                if not contains(spec, W):
+                    raise RuntimeError("lifted representative escaped the subgroup")
+                out.setdefault(tk, []).append(W)
+    return out
+
 
 _R: Mat = (1, 1, 0, 1)
 _L: Mat = (1, 0, 1, 1)
@@ -72,8 +274,10 @@ def word_class_counts(max_trace: int) -> dict[int, int]:
     primitive words only.
     """
     classes: dict[int, set[str]] = {}
-
-    def visit(word: str, mat: Mat) -> None:
+    # an explicit stack: the leading R-run alone is max_trace - 2 letters deep
+    stack: list[tuple[str, Mat]] = [("R", _R)]
+    while stack:
+        word, mat = stack.pop()
         if word[-1] == "L":
             t = mat[0] + mat[3]
             if 3 <= t <= max_trace:
@@ -86,9 +290,7 @@ def word_class_counts(max_trace: int) -> dict[int, int]:
                 continue
             if "L" not in word and letter == "R" and len(word) + 1 > max_trace - 2:
                 continue  # a leading run R^a with a > t-2 cannot close below t
-            visit(word + letter, nxt)
-
-    visit("R", _R)
+            stack.append((word + letter, nxt))
     return {t: len(v) for t, v in sorted(classes.items())}
 
 
@@ -125,7 +327,7 @@ def reduce_with_transform(form: Form) -> tuple[Form, Mat]:
     """
     a, b, c = form
     D = b * b - 4 * a * c
-    if D <= 0 or isqrt(D) ** 2 == D:
+    if not is_discriminant(D):
         raise ValueError("needs a positive non-square discriminant")
     k = 0
     while c * c > (D << (4 * k)):
@@ -144,14 +346,10 @@ def reduce_with_transform(form: Form) -> tuple[Form, Mat]:
     return cur, h
 
 
-def _form_content(form: Form) -> int:
-    return gcd(gcd(abs(form[0]), abs(form[1])), abs(form[2]))
-
-
 def primitive_automorph(form: Form) -> Mat:
     """Generator (up to sign) of the centralizer of any hyperbolic matrix
     whose fixed-point form is a multiple of ``form``."""
-    u0 = _form_content(form)
+    u0 = gcd(*form)
     a0, b0, c0 = form[0] // u0, form[1] // u0, form[2] // u0
     d0 = b0 * b0 - 4 * a0 * c0
     T, U = pell_fundamental(d0)
@@ -164,7 +362,7 @@ def ambient_conjugator(V: Mat, W: Mat) -> Mat | None:
     if tV != W[0] + W[3]:
         return None
     qV, qW = form_of_matrix(V), form_of_matrix(W)
-    if _form_content(qV) != _form_content(qW):
+    if gcd(*qV) != gcd(*qW):
         return None
     D = tV * tV - 4
     rV, hV = reduce_with_transform(qV)
@@ -180,11 +378,23 @@ def ambient_conjugator(V: Mat, W: Mat) -> Mat | None:
     # subst(qV, hV) = rV = subst(qW, hW . acc)  =>  common-axis transport
     h = mat_mul(hV, mat_inv(mat_mul(hW, acc)))
     got = mat_mul(mat_mul(mat_inv(h), V), h)
-    if got == W:
-        return h
-    if got == tuple(-x for x in W):
+    if got in (W, tuple(-x for x in W)):
         return h
     raise RuntimeError("conjugator construction failed its own check")
+
+
+def _axis_generator(V: Mat, spec: GroupSpec) -> tuple[Mat, int]:
+    """(z, d): the primitive automorph z of V's axis and the least d with
+    z^d in +-Gamma.  Two of the m + 1 cosets Gamma z^k, 0 <= k <= m,
+    coincide, so d <= m for the subgroup index m."""
+    z = primitive_automorph(form_of_matrix(V))
+    _, _, m = group_invariants(spec)
+    zk = z
+    for d in range(1, m + 1):
+        if contains(spec, zk):
+            return z, d
+        zk = mat_mul(zk, z)
+    raise RuntimeError("automorph order exceeded the subgroup index")
 
 
 def gamma_conjugate(V: Mat, W: Mat, spec: GroupSpec) -> bool:
@@ -194,17 +404,7 @@ def gamma_conjugate(V: Mat, W: Mat, spec: GroupSpec) -> bool:
     h = ambient_conjugator(V, W)
     if h is None:
         return False
-    z = primitive_automorph(form_of_matrix(V))
-    # minimal d with z^d in Gamma: two of the m + 1 cosets Gamma z^k,
-    # 0 <= k <= m, coincide, so d <= m for the subgroup index m
-    _, _, m = group_invariants(spec)
-    zk = z
-    for d in range(1, m + 1):
-        if contains(spec, zk):
-            break
-        zk = mat_mul(zk, z)
-    else:
-        raise RuntimeError("automorph order exceeded the subgroup index")
+    z, d = _axis_generator(V, spec)
     x = h
     for _ in range(d):
         if contains(spec, x):
@@ -240,34 +440,18 @@ def enumerate_subgroup_elements(spec: GroupSpec, max_trace: int,
     return out
 
 
-def _cheb_seq(s: int, k: int) -> tuple[int, int]:
-    """(S_{k-1}(s), S_{k-2}(s)) with S_-1=0, S_0=1, S_j = s S_{j-1} - S_{j-2}."""
-    prev, cur = 0, 1
-    for _ in range(k - 1):
-        prev, cur = cur, s * cur - prev
-    return cur, prev
-
-
 def is_power_in_group(M: Mat, spec: GroupSpec) -> bool:
-    """True when M = N^k for some k >= 2 with N in the subgroup."""
-    t = M[0] + M[3]
-    k = 2
-    while True:
-        # smallest possible root trace is 3; if even that overshoots, stop
-        if trace_of_power(3, k) > t:
-            return False
-        for s in range(3, t):
-            if trace_of_power(s, k) == t:
-                sk1, sk2 = _cheb_seq(s, k)
-                num = (M[0] + sk2, M[1], M[2], M[3] + sk2)
-                if all(v % sk1 == 0 for v in num):
-                    N = tuple(v // sk1 for v in num)
-                    if N[0] * N[3] - N[1] * N[2] == 1 and contains(spec, N):
-                        P = mat_pow(N, k)
-                        if P == M or P == tuple(-x for x in M):
-                            return True
-                break  # at most one integer root trace per k
-        k += 1
+    """True when +-M = N^k for some k >= 2 with N in the subgroup, M hyperbolic.
+
+    The primitive automorph z of M's axis generates its centraliser, and
+    z^d generates the part of it in +-Gamma, so M has a root in Gamma of
+    exponent k >= 2 exactly when +-M = z^(d j) with j >= 2.
+    """
+    z, d = _axis_generator(M, spec)
+    t, s, j = abs(M[0] + M[3]), trace_of_power(z[0] + z[3], d), 1
+    while trace_of_power(s, j) < t:
+        j += 1
+    return j >= 2 and trace_of_power(s, j) == t
 
 
 def bruteforce_subgroup_counts(spec: GroupSpec, max_trace: int,

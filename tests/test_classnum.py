@@ -25,13 +25,13 @@ class TestClassCounts:
     def test_series_is_class_number_times_regulator(self):
         # h+(D) log eps+(D) = sqrt(D) L(1, chi_D), with h+ the number of
         # cycles of primitive reduced forms and eps+ from pell_fundamental
-        fund = [D for D in range(5, 2000) if ls.is_discriminant(D)
-                and not any(D % (f * f) == 0 and ls.is_discriminant(D // (f * f))
+        fund = [D for D in range(5, 2000) if oracles.is_discriminant(D)
+                and not any(D % (f * f) == 0 and oracles.is_discriminant(D // (f * f))
                             for f in range(2, math.isqrt(D) + 1))]
         value, bound = classnum._l_series(np.array(fund))
         for D, v, b in zip(fund, value, bound):
-            h = len(ls.form_cycles([f for f in ls.reduced_forms(D) if math.gcd(*f) == 1], D))
-            T, U = ls.pell_fundamental(D)
+            h = len(oracles.form_cycles([f for f in oracles.reduced_forms(D) if math.gcd(*f) == 1], D))
+            T, U = oracles.pell_fundamental(D)
             assert 0 < b < 1e-9
             assert abs(v - h * math.log((T + U * math.sqrt(D)) / 2)) <= b + 1e-12 * v, D
 
@@ -40,7 +40,7 @@ class TestClassCounts:
         rows = table.upto(640)
         assert table.fallbacks == 0
         for t in range(3, 641):
-            assert rows[t] == ls._cycle_counts(t), t
+            assert rows[t] == oracles._cycle_counts(t), t
 
     def test_bands_fill_like_one_pass(self):
         banded = classnum.ClassCounts()
@@ -54,11 +54,11 @@ class TestClassCounts:
         for t in range(3, 2001):
             D = t * t - 4
             for u in range(1, math.isqrt(D) + 1):
-                if D % (u * u) or not ls.is_discriminant(D // (u * u)):
+                if D % (u * u) or not oracles.is_discriminant(D // (u * u)):
                     continue
                 pairs += 1
                 assert classnum._is_fundamental(t, u, steps) == \
-                    (ls.pell_fundamental(D // (u * u)) == (t, u)), (t, u)
+                    (oracles.pell_fundamental(D // (u * u)) == (t, u)), (t, u)
         assert pairs == 4205
 
     def test_uncertified_rounding_falls_back_to_cycles(self, monkeypatch):
@@ -76,8 +76,9 @@ class TestClassCounts:
 
     def test_lengthspec_import_loads_no_numpy(self):
         # commands that never count a spectrum, theoremB among them,
-        # must not pay for numpy and scipy
+        # must not pay for numpy and scipy, nor for the oracles
         src = str(Path(classnum.__file__).parents[1])
-        code = "import sys, zal.lengthspec; sys.exit('numpy' in sys.modules)"
+        code = ("import sys, zal.lengthspec; "
+                "sys.exit('numpy' in sys.modules or 'zal.oracles' in sys.modules)")
         assert subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
                               timeout=60).returncode == 0

@@ -30,6 +30,14 @@ class TestTheoremB:
         assert payload["results"]["numeric_prediction"] is None
         assert payload["results"]["c"] == "-32/3"  # -4*24/9
 
+    def test_level11_bound_covers_the_l_value_error(self, capsys):
+        from zal.modforms import level11_sym2
+        assert main(["theoremB", "--group", "gamma0", "--p", "11", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        val = payload["results"]["numeric_prediction"]
+        sym = level11_sym2()
+        assert payload["error_bounds"]["numeric_prediction"] >= abs(val) * sym.est_error / sym.value
+
     def test_determinism(self):
         _, out1, _ = run_cli(["theoremB", "--group", "gamma1", "--json"])
         _, out2, _ = run_cli(["theoremB", "--group", "gamma1", "--json"])

