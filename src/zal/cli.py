@@ -250,7 +250,7 @@ def cmd_theorem_b(args) -> int:
     try:
         val, caveats = predict_zprime(spec, sc)
     except ValueError:
-        env.record("numeric_prediction", None, EXACT)
+        env.record("numeric_prediction", None, None)
         env.caveats.extend(list(exps.caveats)
                            + ["no L-value pipeline for this level; "
                               "exponents are exact, prediction omitted"])

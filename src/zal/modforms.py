@@ -330,12 +330,11 @@ def _sym2_coeff_rows(f: QExpansion, N: int, bad_betas: tuple[int | None, ...],
         if p == f.level:
             powers[p] = [1.0] * (kmax + 1)
             continue
-        e1 = f.a(p) ** 2 - p
-        e2 = p * e1
-        e3 = p ** 3
-        seq = [1.0, float(e1), float(e1 * e1 - e2)]
+        # c(p^k) from 1/(1 + c1 X + c2 X^2 + c3 X^3), the good local factor
+        _, c1, c2, c3 = sym2_local_poly(p, f.a(p)).poly_coeffs
+        seq = [1.0, float(-c1), float(c1 * c1 - c2)]
         while len(seq) < kmax + 1:
-            seq.append(e1 * seq[-1] - e2 * seq[-2] + e3 * seq[-3])
+            seq.append(-c1 * seq[-1] - c2 * seq[-2] - c3 * seq[-3])
         powers[p] = seq
     for n in range(2, N + 1):
         p = int(spf[n])

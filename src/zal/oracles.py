@@ -22,12 +22,13 @@ Three oracle layers, none of which trusts the production counting route:
    Exhaustive generation with trace pruning gives exact per-trace class
    counts with no quadratic-form input at all.
 
-2. an exact conjugacy decision inside a congruence subgroup Gamma: a
-   solution h of h^-1 V h = W is produced by reducing the fixed-point
-   forms with tracked transformations; the full solution set is
-   z^i h for the primitive automorph z of the common axis, so V ~_Gamma W
-   iff z^i h lands in Gamma for some i below the coset order of z.  The
-   same z and order decide whether an element is a power in Gamma.
+2. an exact conjugacy decision inside a congruence subgroup Gamma, read
+   from one normal form per element (``_axis``): the least form r of the
+   rho-cycle of M's fixed-point form, h with h^-1 M h the automorph of r,
+   and the generator z of M's centraliser.  V and W of one trace are
+   PSL2(Z)-conjugate iff their r agree; then V ~_Gamma W iff z^i hV hW^-1
+   lies in Gamma for some i below the order d of z modulo Gamma, and an
+   element M is a proper power in Gamma iff |tr M| != |tr z^d|.
 
 3. bounded-entry enumeration of subgroup elements, classified with the
    exact decision; comparing per-trace class counts against the
@@ -346,71 +347,66 @@ def reduce_with_transform(form: Form) -> tuple[Form, Mat]:
     return cur, h
 
 
-def primitive_automorph(form: Form) -> Mat:
-    """Generator (up to sign) of the centralizer of any hyperbolic matrix
-    whose fixed-point form is a multiple of ``form``."""
-    u0 = gcd(*form)
-    a0, b0, c0 = form[0] // u0, form[1] // u0, form[2] // u0
-    d0 = b0 * b0 - 4 * a0 * c0
-    T, U = pell_fundamental(d0)
-    return matrix_of_form((a0 * U, b0 * U, c0 * U), T)
+def _axis(M: Mat) -> tuple[Form, Mat, Mat]:
+    """(r, h, z): the normal form of a hyperbolic M, reduced once.
+
+    r is the least form of the rho-cycle of M's fixed-point form, a
+    complete invariant of proper equivalence, and h^-1 M h is the trace-t
+    automorph of r, so matrices of one trace are PSL2(Z)-conjugate exactly
+    when their r agree.  z = h0 Z h0^-1, with h0 the reduction and Z the
+    cycle's step product, generates M's centraliser up to sign.
+    """
+    t = M[0] + M[3]
+    D = t * t - 4
+    R, h = reduce_with_transform(form_of_matrix(M))
+    forms, Z = _cycle(R, D)
+    z = mat_mul(mat_mul(h, Z), mat_inv(h))
+    for _ in range(forms.index(min(forms))):
+        R, step = rho_step(R, D)
+        h = mat_mul(h, step)
+    if mat_mul(mat_mul(mat_inv(h), M), h) != matrix_of_form(R, t):
+        raise RuntimeError("normal-form transform failed its own check")
+    return R, h, z
 
 
 def ambient_conjugator(V: Mat, W: Mat) -> Mat | None:
     """h in SL2(Z) with h^-1 V h = W, or None if not conjugate in PSL2(Z)."""
-    tV = V[0] + V[3]
-    if tV != W[0] + W[3]:
+    if V[0] + V[3] != W[0] + W[3]:
         return None
-    qV, qW = form_of_matrix(V), form_of_matrix(W)
-    if gcd(*qV) != gcd(*qW):
-        return None
-    D = tV * tV - 4
-    rV, hV = reduce_with_transform(qV)
-    rW, hW = reduce_with_transform(qW)
-    # rho permutes the reduced forms of D, so walking W's cycle either
-    # meets rV or comes back to rW
-    cur, acc = rW, M_ID
-    while cur != rV:
-        cur, step = rho_step(cur, D)
-        acc = mat_mul(acc, step)
-        if cur == rW:
-            return None
-    # subst(qV, hV) = rV = subst(qW, hW . acc)  =>  common-axis transport
-    h = mat_mul(hV, mat_inv(mat_mul(hW, acc)))
-    got = mat_mul(mat_mul(mat_inv(h), V), h)
-    if got in (W, tuple(-x for x in W)):
-        return h
-    raise RuntimeError("conjugator construction failed its own check")
+    (rV, hV, _), (rW, hW, _) = _axis(V), _axis(W)
+    return mat_mul(hV, mat_inv(hW)) if rV == rW else None
 
 
-def _axis_generator(V: Mat, spec: GroupSpec) -> tuple[Mat, int]:
-    """(z, d): the primitive automorph z of V's axis and the least d with
-    z^d in +-Gamma.  Two of the m + 1 cosets Gamma z^k, 0 <= k <= m,
-    coincide, so d <= m for the subgroup index m."""
-    z = primitive_automorph(form_of_matrix(V))
+def _order(z: Mat, spec: GroupSpec) -> int:
+    """The least d with z^d in +-Gamma.  Two of the m + 1 cosets Gamma z^k,
+    0 <= k <= m, coincide, so d <= m for the subgroup index m."""
     _, _, m = group_invariants(spec)
     zk = z
     for d in range(1, m + 1):
         if contains(spec, zk):
-            return z, d
+            return d
         zk = mat_mul(zk, z)
     raise RuntimeError("automorph order exceeded the subgroup index")
 
 
+def _meets(z: Mat, d: int, h: Mat, spec: GroupSpec) -> bool:
+    """Whether z^i h lies in Gamma for some i; i < d suffices, as z^d is in +-Gamma."""
+    for _ in range(d):
+        if contains(spec, h):
+            return True
+        h = mat_mul(z, h)
+    return False
+
+
 def gamma_conjugate(V: Mat, W: Mat, spec: GroupSpec) -> bool:
-    """Exact decision: are V and W conjugate inside the subgroup image?"""
+    """Exact decision: are V and W conjugate inside the subgroup image?
+    Every h with h^-1 V h = W is +-z^i hV hW^-1, z from V's normal form."""
     if not (contains(spec, V) and contains(spec, W)):
         raise ValueError("both matrices must lie in the subgroup")
-    h = ambient_conjugator(V, W)
-    if h is None:
+    if V[0] + V[3] != W[0] + W[3]:
         return False
-    z, d = _axis_generator(V, spec)
-    x = h
-    for _ in range(d):
-        if contains(spec, x):
-            return True
-        x = mat_mul(z, x)
-    return False
+    (rV, hV, z), (rW, hW, _) = _axis(V), _axis(W)
+    return rV == rW and _meets(z, _order(z, spec), mat_mul(hV, mat_inv(hW)), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +419,9 @@ def enumerate_subgroup_elements(spec: GroupSpec, max_trace: int,
     B = entry_bound
     out: dict[int, list[Mat]] = {t: [] for t in range(3, max_trace + 1)}
     for t in range(3, max_trace + 1):
-        for a in range(-B, B + 1):
+        for a in range(t - B, B + 1):  # |a| <= B and |t - a| <= B
             d = t - a
-            if abs(d) > B:
-                continue
-            m = a * d - 1
-            if m == 0:
-                continue
+            m = a * d - 1  # nonzero: ad = 1 would give |t| = 2
             for b in _signed_divisors(abs(m)):
                 c = m // b
                 if abs(b) > B or abs(c) > B:
@@ -440,18 +432,20 @@ def enumerate_subgroup_elements(spec: GroupSpec, max_trace: int,
     return out
 
 
+def _is_power(M: Mat, z: Mat, d: int) -> bool:
+    """M in Gamma is +-z^(d j), j != 0, and a proper power iff |j| >= 2."""
+    return abs(M[0] + M[3]) != abs(trace_of_power(z[0] + z[3], d))
+
+
 def is_power_in_group(M: Mat, spec: GroupSpec) -> bool:
     """True when +-M = N^k for some k >= 2 with N in the subgroup, M hyperbolic.
 
-    The primitive automorph z of M's axis generates its centraliser, and
-    z^d generates the part of it in +-Gamma, so M has a root in Gamma of
-    exponent k >= 2 exactly when +-M = z^(d j) with j >= 2.
+    z generates M's centraliser up to sign, and z^d its part in +-Gamma.
     """
-    z, d = _axis_generator(M, spec)
-    t, s, j = abs(M[0] + M[3]), trace_of_power(z[0] + z[3], d), 1
-    while trace_of_power(s, j) < t:
-        j += 1
-    return j >= 2 and trace_of_power(s, j) == t
+    if not contains(spec, M):
+        raise ValueError("the matrix must lie in the subgroup")
+    z = _axis(M)[2]
+    return _is_power(M, z, _order(z, spec))
 
 
 def bruteforce_subgroup_counts(spec: GroupSpec, max_trace: int,
@@ -459,17 +453,22 @@ def bruteforce_subgroup_counts(spec: GroupSpec, max_trace: int,
     """Per-trace primitive class counts found inside the entry window.
 
     A lower bound on the true multiplicities that stabilizes to equality
-    once entry_bound dominates the smallest representatives.
+    once entry_bound dominates the smallest representatives.  Each element
+    is reduced once and compared, as in ``gamma_conjugate``, only with the
+    representatives of its normal form r.
     """
     found = enumerate_subgroup_elements(spec, max_trace, entry_bound)
     counts: dict[int, int] = {}
     for t, elems in found.items():
-        reps: list[Mat] = []
+        reps: dict[Form, list[Mat]] = {}  # r -> the h of each representative
         for M in elems:
-            if is_power_in_group(M, spec):
+            r, h, z = _axis(M)
+            d = _order(z, spec)
+            if _is_power(M, z, d):
                 continue
-            if not any(gamma_conjugate(M, r, spec) for r in reps):
-                reps.append(M)
+            same = reps.setdefault(r, [])
+            if not any(_meets(z, d, mat_mul(h, mat_inv(hR)), spec) for hR in same):
+                same.append(h)
         if reps:
-            counts[t] = len(reps)
+            counts[t] = sum(map(len, reps.values()))
     return counts

@@ -131,25 +131,18 @@ def _em_hurwitz(s: complex, a: float, n_start: int, budget: PrecisionBudget,
 
 def riemann_zeta(s: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
     """zeta(s) for real s > 1, or s <= 0 via the functional equation."""
-    val, _ = riemann_zeta_with_bound(s, budget)
-    return val
-
-
-def riemann_zeta_with_bound(s: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> tuple[float, float]:
     if s == 1:
         raise PoleError("zeta has a pole at s = 1")
     if 0 < s < 1:
         raise DomainError("strip 0 < s < 1 is outside the supported domain")
     if s > 1:
-        val, bound = _em_hurwitz(complex(s), 1.0, 8, budget)
-        return val.real, bound
+        return _em_hurwitz(complex(s), 1.0, 8, budget)[0].real
     # s <= 0: zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
     if s == round(s) and int(round(s)) % 2 == 0 and s < 0:
-        return 0.0, 0.0  # trivial zeros, exact
+        return 0.0  # trivial zeros, exact
     pref = 2.0 ** s * math.pi ** (s - 1) * math.sin(math.pi * s / 2) * math.gamma(1 - s)
     sub = PrecisionBudget(abs_tol=budget.abs_tol / (2 * abs(pref) + 1), max_terms=budget.max_terms)
-    z, zb = _em_hurwitz(complex(1 - s), 1.0, 8, sub)
-    return pref * z.real, abs(pref) * zb + 4e-16 * abs(pref * z.real)
+    return pref * _em_hurwitz(complex(1 - s), 1.0, 8, sub)[0].real
 
 
 def hurwitz_zeta(s: float, a: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> float:

@@ -155,12 +155,17 @@ def check_length_spectra() -> CheckResult:
     g0 = GroupSpec.gamma0(11)
     bf0 = oracles.bruteforce_subgroup_counts(g0, 8, 200)
     pr0 = {e.trace: e.multiplicity for e in subgroup_spectrum(g0, 8).entries}
+    # Gamma1(11) has traces +-2 mod 11 only; B = 400 reaches every class to 12
+    g1 = GroupSpec.gamma1(11)
+    bf1 = oracles.bruteforce_subgroup_counts(g1, 12, 400)
+    pr1 = {e.trace: e.multiplicity for e in subgroup_spectrum(g1, 12).entries}
     return CheckResult(
         name="length_spectra_bruteforce",
-        passed=full_ok and bf2 == pr2 and bf0 == pr0,
+        passed=full_ok and bf2 == pr2 and bf0 == pr0 and bf1 == pr1,
         details={"modular_t<=12": prod, "word_oracle": words,
                  "gamma2_bruteforce": bf2, "gamma2_production": pr2,
-                 "gamma0_11_bruteforce": bf0, "gamma0_11_production": pr0},
+                 "gamma0_11_bruteforce": bf0, "gamma0_11_production": pr0,
+                 "gamma1_11_bruteforce": bf1, "gamma1_11_production": pr1},
     )
 
 

@@ -1,6 +1,10 @@
-"""The oracles' own decisions: the word walk and the power test."""
+"""The oracles' own decisions: the word walk, the normal form, and the
+Gamma-conjugacy and power tests read from it."""
 
 import sys
+from math import gcd
+
+import pytest
 
 from zal import lengthspec as ls
 from zal import oracles
@@ -79,3 +83,112 @@ class TestIsPowerInGroup:
                     N2 = oracles.mat_pow(N, 2)
                     for P in (N2, oracles.mat_pow(N, 3), tuple(-x for x in N2)):
                         assert oracles.is_power_in_group(P, spec), (spec, N, P)
+
+
+class TestIsPowerInGroupDomain:
+    def test_rejects_matrix_outside_the_group(self):
+        with pytest.raises(ValueError):
+            oracles.is_power_in_group((2, 1, 1, 1), ls.GroupSpec.gamma0(11))
+
+
+_T, _S, _TI = (1, 1, 0, 1), (0, -1, 1, 0), (1, -1, 0, 1)
+
+
+def _word(*letters):
+    out = ls.M_ID
+    for g in letters:
+        out = ls.mat_mul(out, g)
+    return out
+
+
+WORDS = (ls.M_ID, _T, _S, _word(_T, _S), _word(_S, _T, _T, _T), _word(_TI, _TI, _S, _T),
+         _word(_S, _T, _S, _TI, _TI, _S, _T, _T, _T, _T, _T))
+
+
+class TestNormalForm:
+    def test_least_cycle_form_of_every_conjugate(self):
+        for t in range(3, 41):
+            for A in oracles.ambient_classes(t):
+                want = oracles.form_of_matrix(A)
+                for g in WORDS:
+                    M = ls.mat_mul(ls.mat_mul(g, A), oracles.mat_inv(g))
+                    r, h, z = oracles._axis(M)
+                    assert r == want, (t, A, g)
+                    assert ls.mat_mul(ls.mat_mul(oracles.mat_inv(h), M), h) == A
+                    assert ls.mat_mul(z, M) == ls.mat_mul(M, z)
+                    assert abs(z[0] + z[3]) == t  # A is primitive: z = +-A^(+-1)
+
+    def test_bruteforce_reduces_each_element_once(self, monkeypatch):
+        spec = ls.GroupSpec.gamma0(11)
+        n = sum(map(len, oracles.enumerate_subgroup_elements(spec, 8, 200).values()))
+        calls = []
+        axis = oracles._axis
+        monkeypatch.setattr(oracles, "_axis", lambda M: calls.append(M) or axis(M))
+
+        def forbidden(*args):
+            raise AssertionError("pairwise decision called")
+
+        monkeypatch.setattr(oracles, "ambient_conjugator", forbidden)
+        monkeypatch.setattr(oracles, "gamma_conjugate", forbidden)
+        got = oracles.bruteforce_subgroup_counts(spec, 8, 200)
+        assert got == {e.trace: e.multiplicity for e in ls.subgroup_spectrum(spec, 8).entries}
+        assert len(calls) == len(set(calls)) == n > 0
+
+
+def _ambient_conjugator_by_cycle_walk(V, W):
+    """The former ambient_conjugator: reduce both fixed-point forms, then walk
+    W's cycle until it meets V's reduced form or comes back."""
+    tV = V[0] + V[3]
+    if tV != W[0] + W[3]:
+        return None
+    qV, qW = oracles.form_of_matrix(V), oracles.form_of_matrix(W)
+    if gcd(*qV) != gcd(*qW):
+        return None
+    D = tV * tV - 4
+    rV, hV = oracles.reduce_with_transform(qV)
+    rW, hW = oracles.reduce_with_transform(qW)
+    cur, acc = rW, ls.M_ID
+    while cur != rV:
+        cur, step = oracles.rho_step(cur, D)
+        acc = ls.mat_mul(acc, step)
+        if cur == rW:
+            return None
+    return ls.mat_mul(hV, oracles.mat_inv(ls.mat_mul(hW, acc)))
+
+
+def _gamma_conjugate_reference(V, W, spec):
+    """The former decision: a cycle-walk conjugator h, and the Pell automorph z
+    of V's axis; V ~ W in Gamma iff some z^i h lies in Gamma.  z^d lies in
+    +-Gamma for some d <= m, so i < m covers every coset."""
+    h = _ambient_conjugator_by_cycle_walk(V, W)
+    if h is None:
+        return False
+    q = oracles.form_of_matrix(V)
+    a, b, c = (x // gcd(*q) for x in q)
+    T, U = oracles.pell_fundamental(b * b - 4 * a * c)
+    z = oracles.matrix_of_form((a * U, b * U, c * U), T)
+    for _ in range(ls.group_invariants(spec)[2]):
+        if ls.contains(spec, h):
+            return True
+        h = ls.mat_mul(z, h)
+    return False
+
+
+class TestGammaConjugate:
+    @pytest.mark.parametrize("spec,bound", [(ls.GroupSpec.principal2(), 30),
+                                            (ls.GroupSpec.gamma0(11), 60),
+                                            (ls.GroupSpec.gamma1(11), 60)],
+                             ids=["gamma2", "gamma0_11", "gamma1_11"])
+    def test_matches_cycle_walk_reference_on_enumerated_pairs(self, spec, bound):
+        # pairs of different traces are rejected by the trace test on both sides
+        pairs = conjugate = 0
+        for elems in oracles.enumerate_subgroup_elements(spec, 14, bound).values():
+            for i, V in enumerate(elems):
+                for W in elems[i:]:
+                    want = _gamma_conjugate_reference(V, W, spec)
+                    assert oracles.gamma_conjugate(V, W, spec) == want, (spec, V, W)
+                    assert (oracles.ambient_conjugator(V, W) is None) == \
+                        (_ambient_conjugator_by_cycle_walk(V, W) is None)
+                    pairs += 1
+                    conjugate += want
+        assert pairs > conjugate > 0
