@@ -91,9 +91,7 @@ class HypothesisError(ValueError):
 def _admissible_provenance(spec: GroupSpec, what: str) -> tuple[str, ...]:
     """Provenance of a ledger entry, or HypothesisError off the pipeline's hypotheses."""
     if not spec.torsion_free:
-        if spec.kind == GroupKind.GAMMA0:
-            raise HypothesisError(f"p = {spec.p} is not 11 mod 12")
-        raise HypothesisError("pipeline needs a torsion-free congruence quotient")
+        raise HypothesisError(f"{spec.label()} has elliptic points; the ledger needs none")
     if spec.kind == GroupKind.PRINCIPAL2:
         return (what, EXTENSION_CAVEAT)
     return (what,)
@@ -161,9 +159,9 @@ def adeg_psi_W(spec: GroupSpec) -> ArithDegree:
     """Degree of the cusp cotangent lines: zero under the torsion-free hypotheses.
 
     The leading-coefficient argument needs the hyperbolic metric to
-    descend from the upper half plane, so gamma0 levels require
-    p = 11 mod 12; gamma1 levels and the level-2 principal group
-    qualify, the latter flagged as an anchor-certified extension.
+    descend from the upper half plane, so the group must have no
+    elliptic points; the level-2 principal group is flagged as an
+    anchor-certified extension.
     """
     prov = _admissible_provenance(spec, "cusp cotangent lines, leading q-coefficients")
     return ArithDegree(vector=LogLinearForm(), numeric=0.0, provenance=prov)
@@ -190,9 +188,9 @@ def assemble_log_zprime(spec: GroupSpec, constants: SpecialConstants,
     reduced at the end; the numeric trace is attached when the L-value
     is available (or no slot is needed).
     """
+    psi = adeg_psi_W(spec)  # off-hypothesis groups raise here, not in SurfaceType
     g, n, m = group_invariants(spec)
     surf = SurfaceType(g, n)
-    psi = adeg_psi_W(spec)  # raises off-hypothesis
     lam = adeg_lambda_L2(spec, l_value)
     pre = (self_intersection_form(spec)
            + log_C_form(surf).scale(-2)

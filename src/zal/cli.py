@@ -359,7 +359,11 @@ def main(argv: list[str] | None = None) -> int:
             args.spec = _group_spec(args.group, args.p)
         except ValueError as exc:
             parser.error(str(exc))
-    return args.fn(args)
+    from .arakelov import HypothesisError
+    try:
+        return args.fn(args)
+    except HypothesisError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ u the content of M's fixed-point form: M is +-I mod N exactly when N | u,
 and otherwise conjugate to the companion matrix of x^2 - t x + 1
 (Fulton-Harris, Representation Theory, 5.2).  Every spectrum is thus a
 sum over class counts per (t, u) and one orbit-size table per group.
+Genus, cusps and elliptic points are read off the same coset table.
 
 Everything here is exact integer arithmetic except the final lengths.
 """
@@ -100,14 +101,10 @@ class GroupSpec:
 
     @property
     def torsion_free(self) -> bool:
-        """True when the image in PSL2(Z) has no elliptic elements."""
-        if self.kind == GroupKind.FULL:
-            return False
-        if self.kind == GroupKind.PRINCIPAL2:
-            return True
-        if self.kind == GroupKind.GAMMA1:
-            return True  # p >= 11 enforced above
-        return self.p % 12 == 11  # nu2 = nu3 = 0 exactly then
+        """True when the image in PSL2(Z) has no elliptic elements, that is
+        nu2 = nu3 = 0, or by Riemann-Hurwitz 12 g = 12 + m - 6 n."""
+        g, n, m = group_invariants(self)
+        return 12 * g == 12 + m - 6 * n
 
     def label(self) -> str:
         if self.p is not None:
@@ -123,36 +120,6 @@ def _no_level(spec: GroupSpec) -> ValueError:
     pays no extra call.
     """
     return ValueError(f"{spec.kind.value} spec has no level p")
-
-
-def group_invariants(spec: GroupSpec) -> tuple[int, int, int]:
-    """(genus, cusps, index of the image in PSL2(Z)).
-
-    The full group is the degree-1 ambient orbifold (g=0, n=1, m=1); it
-    is not a stable surface type and is only used as a covering base.
-    """
-    if spec.kind == GroupKind.FULL:
-        return 0, 1, 1
-    if spec.kind == GroupKind.PRINCIPAL2:
-        return 0, 3, 6
-    p = spec.p
-    if p is None:
-        raise _no_level(spec)
-    if spec.kind == GroupKind.GAMMA0:
-        m = p + 1
-        nu2 = 1 + (1 if p % 4 == 1 else -1)
-        nu3 = 1 + (1 if p % 3 == 1 else -1)
-        num = m - 3 * nu2 - 4 * nu3 - 6 * 2 + 12
-        if num % 12:
-            raise ValueError("genus formula did not give an integer")
-        return num // 12, 2, m
-    # GAMMA1, p >= 11: no torsion, cusps p-1, PSL2 index (p^2-1)/2
-    m = (p * p - 1) // 2
-    n = p - 1
-    num = 12 + m - 6 * n
-    if num % 12:
-        raise ValueError("genus formula did not give an integer")
-    return num // 12, n, m
 
 
 def mat_mul(x: Mat, y: Mat) -> Mat:
@@ -246,6 +213,16 @@ _ID_LABEL = {GroupKind.FULL: 0, GroupKind.PRINCIPAL2: M_ID,
              GroupKind.GAMMA0: (0, 1), GroupKind.GAMMA1: (0, 1)}
 
 
+def _index(spec: GroupSpec) -> int:
+    """Closed-form index of the image in PSL2(Z), to check the coset walk."""
+    if spec.kind == GroupKind.FULL:
+        return 1
+    if spec.kind == GroupKind.PRINCIPAL2:
+        return 6
+    p = spec.p  # the walk has already rejected a missing level
+    return p + 1 if spec.kind == GroupKind.GAMMA0 else (p * p - 1) // 2
+
+
 @cache
 def _coset_table(spec: GroupSpec) -> tuple[list, dict, list[Mat]]:
     """(labels, label->index, representative matrices), index m entries.
@@ -258,8 +235,8 @@ def _coset_table(spec: GroupSpec) -> tuple[list, dict, list[Mat]]:
     takes the next index, and its representative is the representative
     of the label it was reached from times the generator.  T and S
     generate SL2(Z), so the walk reaches every coset; there are finitely
-    many labels, so it ends.  Its size is checked against the index
-    formula of ``group_invariants``, which does not use the walk.
+    many labels, so it ends.  Its size is checked against ``_index``,
+    which does not use the walk; the invariants are read off the table.
     """
     lab0 = _ID_LABEL[spec.kind]
     labels: list = [lab0]
@@ -272,7 +249,7 @@ def _coset_table(spec: GroupSpec) -> tuple[list, dict, list[Mat]]:
                 index[nxt] = len(labels)
                 labels.append(nxt)
                 reps.append(mat_mul(reps[i], g))
-    m = group_invariants(spec)[2]
+    m = _index(spec)
     if len(labels) != m:
         raise ArithmeticError(f"{spec.label()}: coset walk found {len(labels)} "
                               f"cosets, index formula gives {m}")
@@ -330,6 +307,26 @@ def _orbits(perm: list[int]) -> Iterator[tuple[int, int]]:
             j = perm[j]
             k += 1
         yield i, k
+
+
+@cache
+def group_invariants(spec: GroupSpec) -> tuple[int, int, int]:
+    """(genus, cusps, index of the image in PSL2(Z)), read off the coset table:
+    m cosets, n cycles of T, and 12 g = 12 + m - 3 nu2 - 4 nu3 - 6 n by
+    Riemann-Hurwitz (Shimura, Arithmetic Theory of Automorphic Functions, 1.40).
+
+    The full group is the degree-1 ambient orbifold (g=0, n=1, m=1); it
+    is not a stable surface type and is only used as a covering base.
+    """
+    m = len(_coset_table(spec)[0])
+    n = sum(1 for _ in _orbits(coset_permutation(spec, _GENS[0])))
+    # nu2, nu3: the cosets fixed by S and by ST, one per elliptic point of order 2, 3
+    nu2, nu3 = (sum(i == j for i, j in enumerate(coset_permutation(spec, M)))
+                for M in (_GENS[1], (0, -1, 1, 1)))
+    num = 12 + m - 3 * nu2 - 4 * nu3 - 6 * n
+    if num % 12:
+        raise ArithmeticError(f"{spec.label()}: Riemann-Hurwitz gave genus {num}/12")
+    return num // 12, n, m
 
 
 @cache

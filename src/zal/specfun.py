@@ -138,8 +138,8 @@ def riemann_zeta(s: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
     if s > 1:
         return _em_hurwitz(complex(s), 1.0, 8, budget)[0].real
     # s <= 0: zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
-    if s == round(s) and int(round(s)) % 2 == 0 and s < 0:
-        return 0.0  # trivial zeros, exact
+    if s == round(s) and int(s) % 2 == 0:
+        return -0.5 if s == 0 else 0.0  # zeta(0) and the trivial zeros, exact
     pref = 2.0 ** s * math.pi ** (s - 1) * math.sin(math.pi * s / 2) * math.gamma(1 - s)
     sub = PrecisionBudget(abs_tol=budget.abs_tol / (2 * abs(pref) + 1), max_terms=budget.max_terms)
     return pref * _em_hurwitz(complex(1 - s), 1.0, 8, sub)[0].real

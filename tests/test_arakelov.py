@@ -70,6 +70,11 @@ class TestPsiW:
         with pytest.raises(ak.HypothesisError):
             ak.self_intersection(GroupSpec.gamma0(13))
 
+    def test_ledger_checks_hypotheses_before_the_surface_type(self):
+        # Gamma0(13) has genus 0 and two cusps, an unstable surface type
+        with pytest.raises(ak.HypothesisError, match="gamma0\\(13\\)"):
+            ak.special_value_exponents(GroupSpec.gamma0(13), SC)
+
 
 class TestSelfIntersection:
     def test_gamma0_11_preform(self):

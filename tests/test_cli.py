@@ -38,6 +38,14 @@ class TestTheoremB:
         sym = level11_sym2()
         assert payload["error_bounds"]["numeric_prediction"] >= abs(val) * sym.est_error / sym.value
 
+    @pytest.mark.parametrize("p", ["13", "17"])
+    def test_off_hypothesis_level_is_a_usage_error(self, p, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["theoremB", "--group", "gamma0", "--p", p])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage" in err.lower() and f"gamma0({p})" in err
+
     def test_determinism(self):
         _, out1, _ = run_cli(["theoremB", "--group", "gamma1", "--json"])
         _, out2, _ = run_cli(["theoremB", "--group", "gamma1", "--json"])

@@ -39,6 +39,43 @@ class TestGroupSpec:
         assert not sp.torsion_flagged and not sp.filtered(6).torsion_flagged
 
 
+def _closed_form_invariants(spec):
+    """(g, n, m, torsion_free) from the per-kind formulae that the coset
+    table replaced, kept here as the reference it is checked against."""
+    if spec.kind == ls.GroupKind.FULL:
+        return 0, 1, 1, False
+    if spec.kind == ls.GroupKind.PRINCIPAL2:
+        return 0, 3, 6, True
+    p = spec.p
+    if spec.kind == ls.GroupKind.GAMMA0:
+        m = p + 1
+        nu2 = 1 + (1 if p % 4 == 1 else -1)
+        nu3 = 1 + (1 if p % 3 == 1 else -1)
+        return (12 + m - 3 * nu2 - 4 * nu3 - 12) // 12, 2, m, nu2 == nu3 == 0
+    m, n = (p * p - 1) // 2, p - 1  # Gamma1(p), p >= 11: no torsion
+    return (12 + m - 6 * n) // 12, n, m, True
+
+
+class TestTableInvariants:
+    """Genus, cusps, index and torsion read off the coset table agree with
+    the closed forms for every kind."""
+
+    SPECS = ([ls.GroupSpec.full(), ls.GroupSpec.principal2()]
+             + [ls.GroupSpec.gamma0(p) for p in range(11, 200) if ls._is_prime(p)]
+             + [ls.GroupSpec.gamma1(p) for p in range(11, 80) if ls._is_prime(p)])
+
+    def test_matches_closed_forms(self):
+        for spec in self.SPECS:
+            g, n, m, free = _closed_form_invariants(spec)
+            assert ls.group_invariants(spec) == (g, n, m), spec.label()
+            assert spec.torsion_free == free, spec.label()
+
+    def test_gamma0_torsion_free_exactly_at_11_mod_12(self):
+        for p in range(11, 200):
+            if ls._is_prime(p):
+                assert ls.GroupSpec.gamma0(p).torsion_free == (p % 12 == 11), p
+
+
 def _cycle_count(D):
     """Number of reduction cycles of discriminant D, all contents included."""
     return len(oracles.form_cycles(oracles.reduced_forms(D), D))
@@ -366,7 +403,7 @@ class TestCosetTables:
 
     def test_walk_size_checked_against_index_formula(self, monkeypatch):
         ls._coset_table.cache_clear()
-        monkeypatch.setattr(ls, "group_invariants", lambda s: (0, 2, 15))
+        monkeypatch.setattr(ls, "_index", lambda s: 15)
         with pytest.raises(ArithmeticError):
             ls._coset_table(ls.GroupSpec.gamma0(13))
 

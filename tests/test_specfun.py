@@ -33,6 +33,9 @@ class TestRiemannZeta:
         oracle = direct_sum_zeta(s, 200_000)
         assert abs(sf.riemann_zeta(s, BUDGET) - oracle) < 1e-10
 
+    def test_zeta0_exact(self):
+        assert sf.riemann_zeta(0.0, BUDGET) == -0.5
+
     def test_trivial_zeros(self):
         assert sf.riemann_zeta(-2.0, BUDGET) == 0.0
         assert sf.riemann_zeta(-4.0, BUDGET) == 0.0
