@@ -232,7 +232,7 @@ def cmd_lvalue(args) -> int:
 
 
 def cmd_theorem_b(args) -> int:
-    from .arakelov import predict_zprime, special_value_exponents
+    from .arakelov import special_value_exponents, zprime_prediction
     from .lengthspec import group_invariants
     from .specfun import compute_constants
     spec = args.spec
@@ -247,22 +247,9 @@ def cmd_theorem_b(args) -> int:
     env.record("b", str(exps.b), EXACT)
     env.record("c", str(exps.c), EXACT)
     env.record("l_slot_exponent", str(exps.l_exponent), EXACT)
-    try:
-        val, caveats = predict_zprime(spec, sc)
-    except ValueError:
-        env.record("numeric_prediction", None, None)
-        env.caveats.extend(list(exps.caveats)
-                           + ["no L-value pipeline for this level; "
-                              "exponents are exact, prediction omitted"])
-    else:
-        rel_err = 1e-9
-        if exps.l_exponent != 0:  # then predict_zprime used the cached level-11 L
-            from .modforms import level11_sym2
-            sym = level11_sym2()
-            rel_err += abs(float(exps.l_exponent)) * sym.est_error / sym.value
-            caveats += ("the bound propagates the L-value's est_error, a heuristic residual",)
-        env.record("numeric_prediction", val, abs(val) * rel_err)
-        env.caveats.extend(caveats)
+    val, rel_err, caveats = zprime_prediction(exps, sc)
+    env.record("numeric_prediction", val, None if val is None else abs(val) * rel_err)
+    env.caveats.extend(caveats)
     env.pass_fail = {"ledger_matches_closed_forms": True}
     if spec.kind.value == "gamma2":
         env.pass_fail["anchor"] = (exps.b, exps.c) == (Fraction(5, 3), Fraction(-8, 3))

@@ -284,10 +284,9 @@ class SpecialConstants:
 
 
 def compute_constants(budget: PrecisionBudget = DEFAULT_BUDGET) -> SpecialConstants:
-    """Build the validated constant block used by every other module."""
-    zp1 = zeta_prime_minus1(budget)
-    lg2 = log_barnes_gamma2_half(budget)
-    res = voros_residual(zp1, lg2)
-    if res >= 10 * budget.abs_tol:
-        raise BudgetExhaustedError(f"cross-check identity violated: residual {res:.3e}")
-    return SpecialConstants(zeta_prime_minus1=zp1, log_gamma2_half=lg2)
+    """Build the constant block used by every other module.
+
+    ``SpecialConstants`` itself checks the Voros identity, at the default
+    budget's limit, and raises BudgetExhaustedError when it fails."""
+    return SpecialConstants(zeta_prime_minus1=zeta_prime_minus1(budget),
+                            log_gamma2_half=log_barnes_gamma2_half(budget))

@@ -4,71 +4,36 @@ from fractions import Fraction as F
 import pytest
 
 from zal import arakelov as ak
-from zal.lengthspec import GroupSpec
+from zal.lengthspec import GroupSpec, group_invariants
 from zal.specfun import compute_constants
-from zal.tautconst import LOGPI, ONE, ZP1, LogLinearForm, SurfaceType, log_C_form, reduce_form
+from zal.tautconst import LOGG2, LOGPI, ONE, ZP1, LogLinearForm
 
 SC = compute_constants()
 L11 = 1.0575992578544577  # level-11 symmetric-square value at the edge (regression)
 
 
-class TestTrivialBundle:
-    def test_unit_norm(self):
-        d = ak.adeg_trivial_bundle(1.0, LogLinearForm())
-        assert d.numeric == 0.0
-        assert d.vector == reduce_form(LogLinearForm())
-
-    def test_c11_vector(self):
-        form = log_C_form(SurfaceType(1, 1))
-        C = math.exp(form.evaluate(SC))
-        d = ak.adeg_trivial_bundle(C, form, constants=SC)
-        assert d.vector == reduce_form(form.scale(-2))
-        d.check_coherence(SC)
-        # raw degree and canonical representative differ by log-2 mass only:
-        # reduce drops -2 * (-12) * (-1/36) = -2/3 of a log 2
-        assert d.numeric - (-2 * math.log(C)) == pytest.approx(
-            (2 / 3) * math.log(2), abs=1e-11)
-
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            ak.adeg_trivial_bundle(0.0, LogLinearForm())
-
-
 class TestLambdaL2:
     def test_gamma0_11_vector(self):
-        d = ak.adeg_lambda_L2(GroupSpec.gamma0(11), l_value=L11)
-        assert d.vector[LOGPI] == F(2)
-        assert dict(d.vector.slots()) == {"L(0,M[gamma0(11)])": F(-1)}
-        assert d.numeric == pytest.approx(-math.log(math.pi ** -2 * L11))
-        d.check_coherence(SC, {"L(0,M[gamma0(11)])": L11})
+        v = ak.lambda_L2_form(GroupSpec.gamma0(11))
+        assert v == LogLinearForm({LOGPI: 2, "L(0,M[gamma0(11)])": -1})
+        assert v.evaluate(SC, {"L(0,M[gamma0(11)])": L11}) == pytest.approx(
+            -math.log(math.pi ** -2 * L11))
 
     def test_genus_zero_empty(self):
-        d = ak.adeg_lambda_L2(GroupSpec.principal2())
-        assert d.vector == reduce_form(LogLinearForm())
-        assert d.numeric == 0.0
-
-    def test_incoherence_detected(self):
-        d = ak.ArithDegree(vector=ak.adeg_lambda_L2(GroupSpec.gamma0(11)).vector,
-                           numeric=1.0)
-        with pytest.raises(ArithmeticError):
-            d.check_coherence(SC, {"L(0,M[gamma0(11)])": L11})
+        assert ak.lambda_L2_form(GroupSpec.principal2()) == LogLinearForm()
 
 
 class TestPsiW:
     def test_zero_for_admissible(self):
-        assert ak.adeg_psi_W(GroupSpec.gamma0(11)).numeric == 0.0
-        assert ak.adeg_psi_W(GroupSpec.gamma1(11)).numeric == 0.0
-
-    def test_extension_flag_for_level2(self):
-        d = ak.adeg_psi_W(GroupSpec.principal2())
-        assert d.numeric == 0.0
-        assert any("extension" in p or "anchor" in p for p in d.provenance)
+        # the guard admits these groups, and with psi_W = 0 the vector has the closed forms
+        for spec in (GroupSpec.gamma0(11), GroupSpec.gamma1(11)):
+            vec = ak.assemble_log_zprime(spec)
+            want = ak.closed_form_exponents(*group_invariants(spec))
+            assert (vec[ONE], vec[LOGPI], vec[LOGG2]) == want
 
     def test_13_rejected(self):
         with pytest.raises(ak.HypothesisError):
-            ak.adeg_psi_W(GroupSpec.gamma0(13))
-        with pytest.raises(ak.HypothesisError):
-            ak.self_intersection(GroupSpec.gamma0(13))
+            ak.assemble_log_zprime(GroupSpec.gamma0(13))
 
     def test_ledger_checks_hypotheses_before_the_surface_type(self):
         # Gamma0(13) has genus 0 and two cusps, an unstable surface type
@@ -112,7 +77,6 @@ class TestAssembly:
 
     def test_other_admissible_levels(self):
         # p = 23 = 11 mod 12: exponents computable without an L-value
-        from zal.lengthspec import group_invariants
         e = ak.special_value_exponents(GroupSpec.gamma0(23), SC)
         g, n, m = group_invariants(GroupSpec.gamma0(23))
         assert (e.a, e.b, e.c) == ak.closed_form_exponents(g, n, m)
@@ -121,26 +85,27 @@ class TestAssembly:
     @pytest.mark.parametrize("extra", [{"L(0,M[gamma0(11)])": 1}, {"L(0,M[other])": 1}])
     def test_unexpected_slots_rejected(self, extra, monkeypatch):
         spec = GroupSpec.gamma0(11)
-        deg = ak.assemble_log_zprime(spec, SC)
-        bad = ak.ArithDegree(vector=deg.vector + LogLinearForm(extra), numeric=None)
+        bad = ak.assemble_log_zprime(spec) + LogLinearForm(extra)
         monkeypatch.setattr(ak, "assemble_log_zprime", lambda *args: bad)
         with pytest.raises(ArithmeticError, match="L-slot"):
             ak.special_value_exponents(spec, SC)
 
     def test_ledger_linearity(self):
-        # substituting the L-value before or after assembly is the same
-        spec = GroupSpec.gamma0(11)
-        with_val = ak.assemble_log_zprime(spec, SC, l_value=L11)
-        symbolic = ak.assemble_log_zprime(spec, SC)
-        assert symbolic.vector == with_val.vector
-        assert with_val.numeric == pytest.approx(
-            symbolic.vector.evaluate(SC, {"L(0,M[gamma0(11)])": L11}), abs=1e-12)
+        # the L-value enters the log linearly, through the slot's exponent 1
+        slot = "L(0,M[gamma0(11)])"
+        vec = ak.assemble_log_zprime(GroupSpec.gamma0(11))
+        assert vec.evaluate(SC, {slot: L11}) - vec.evaluate(SC, {slot: 1.0}) == pytest.approx(
+            math.log(L11), abs=1e-12)
 
     def test_coherence_invariant(self):
-        for spec in (GroupSpec.principal2(), GroupSpec.gamma1(11)):
-            deg = ak.assemble_log_zprime(spec, SC, l_value=L11)
+        # two routes to Z'(1): the closed-form exponents, and the ledger vector;
+        # any positive L fills the slot the same way on both
+        for spec in (GroupSpec.principal2(), GroupSpec.gamma0(11),
+                     GroupSpec.gamma1(11), GroupSpec.gamma0(23)):
             slot = {f"L(0,M[{spec.label()}])": L11}
-            deg.check_coherence(SC, slot if deg.vector.slots() else None, tol=1e-9)
+            v, _ = ak.predict_zprime(spec, SC, l_value=L11)
+            w = math.exp(ak.assemble_log_zprime(spec).evaluate(SC, slot))
+            assert v == pytest.approx(w, rel=1e-13), spec.label()
 
 
 class TestPrediction:

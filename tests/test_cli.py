@@ -46,6 +46,16 @@ class TestTheoremB:
         err = capsys.readouterr().err
         assert "usage" in err.lower() and f"gamma0({p})" in err
 
+    @pytest.mark.parametrize("group", [["gamma2"], ["gamma0", "--p", "11"]])
+    def test_ledger_assembled_once(self, group, monkeypatch, capsys):
+        from zal import arakelov
+        calls = []
+        assemble = arakelov.assemble_log_zprime
+        monkeypatch.setattr(arakelov, "assemble_log_zprime",
+                            lambda spec: calls.append(spec) or assemble(spec))
+        assert main(["theoremB", "--group", *group, "--json"]) == 0
+        assert len(calls) == 1
+
     def test_determinism(self):
         _, out1, _ = run_cli(["theoremB", "--group", "gamma1", "--json"])
         _, out2, _ = run_cli(["theoremB", "--group", "gamma1", "--json"])
