@@ -21,6 +21,10 @@ from . import __version__
 EXACT = "exact-rational"
 
 
+class _UsageError(ValueError):
+    """A request no computation can meet as given; reported like a bad option."""
+
+
 def _coerce_json(obj):
     """numpy scalars and Fractions into plain JSON types."""
     import numpy as np
@@ -200,15 +204,18 @@ def cmd_degenerate(args) -> int:
 
 
 def cmd_lvalue(args) -> int:
-    from .modforms import (coefficients_csv, eta_product_qexp, hida_ratio,
-                           petersson_norm, sym2_L_value)
+    from .modforms import (NoHypothesisError, coefficients_csv, eta_product_qexp,
+                           hida_ratio, petersson_norm, sym2_L_value)
     env = ReportEnvelope("lvalue", inputs={"tol": args.tol})
     f = eta_product_qexp(8000)
     if args.coeffs_out:
         with open(args.coeffs_out, "w") as fh:
             fh.write(coefficients_csv(eta_product_qexp(args.coeffs_n)))
         env.record("coeffs_csv_path", args.coeffs_out, EXACT)
-    sym = sym2_L_value(f, 2.0, tol=args.tol, n_terms=8000)
+    try:
+        sym = sym2_L_value(f, 2.0, tol=args.tol, n_terms=8000)
+    except NoHypothesisError as exc:
+        raise _UsageError(f"--tol {args.tol}: {exc}") from exc
     env.record("l_value_sym2_at_2", sym.value, sym.est_error)
     env.record("conductor_hypothesis", sym.conductor, EXACT)
     env.record("local_factor_reciprocal_root_at_11",
@@ -349,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     from .arakelov import HypothesisError
     try:
         return args.fn(args)
-    except HypothesisError as exc:
+    except (HypothesisError, _UsageError) as exc:
         parser.error(str(exc))
 
 

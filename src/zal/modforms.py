@@ -82,6 +82,10 @@ class BadPrimeError(ValueError):
     """Point counting requested at the bad prime or a non-prime."""
 
 
+class NoHypothesisError(ArithmeticError):
+    """No Sym^2 hypothesis scored below the search's tolerance."""
+
+
 @dataclass(frozen=True)
 class QExpansion:
     level: int
@@ -483,6 +487,9 @@ def sym2_L_value(f: QExpansion, s: float = 2.0, tol: float = 1e-6,
         f = eta_product_qexp(n_terms)
     results = _score_hypotheses(f, s, n_terms)
     winners = [r for r in results if r[0] < tol]
+    if not winners:
+        raise NoHypothesisError(f"self-consistency search found 0 hypotheses below {tol}; "
+                                f"the best residual at {n_terms} terms is {results[0][0]:.2e}")
     if len(winners) != 1:
         raise ArithmeticError(
             f"self-consistency search found {len(winners)} hypotheses below {tol}"

@@ -30,10 +30,13 @@ Three oracle layers, none of which trusts the production counting route:
    lies in Gamma for some i below the order d of z modulo Gamma, and an
    element M is a proper power in Gamma iff |tr M| != |tr z^d|.
 
-3. bounded-entry enumeration of subgroup elements, classified with the
-   exact decision; comparing per-trace class counts against the
-   production covering-space route validates both multiplicities and
-   completeness at desk scale.
+3. bounded-entry enumeration of subgroup elements by congruence, with
+   no factoring: for level N (2 for Gamma(2), p for Gamma0(p) and
+   Gamma1(p)) only a with N | ad - 1, and a = +-1 mod N for Gamma(2) and
+   Gamma1(p), are kept, and c runs over the multiples of N; the elements
+   are classified with the exact decision, and comparing per-trace class
+   counts against the production covering-space route validates both
+   multiplicities and completeness at desk scale.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from collections import Counter
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
-from .lengthspec import (M_ID, GroupSpec, Mat, _coset_table, _orbits, contains,
+from .lengthspec import (M_ID, GroupKind, GroupSpec, Mat, _coset_table, _orbits, contains,
                          coset_permutation, group_invariants, mat_mul, trace_of_power)
 
 __all__ = [
@@ -415,20 +418,38 @@ def gamma_conjugate(V: Mat, W: Mat, spec: GroupSpec) -> bool:
 
 def enumerate_subgroup_elements(spec: GroupSpec, max_trace: int,
                                 entry_bound: int) -> dict[int, list[Mat]]:
-    """All subgroup elements with 3 <= trace <= max_trace, |entries| <= B."""
+    """All subgroup elements with 3 <= trace <= max_trace, |entries| <= B.
+
+    An element [[a, b], [c, d]] of trace t has d = t - a and bc = m with
+    m = ad - 1, nonzero since ad = 1 would give |t| = 2.  Let N be 1 for
+    the full group, 2 for Gamma(2) and p for Gamma0(p) and Gamma1(p).
+    Every element has N | c, and c | m, so a with N not dividing m is
+    skipped; in Gamma(2) a is odd and in Gamma1(p) a = +-1 mod p, so
+    there a must be +-1 mod N too.  The lower-left entry then runs over
+    the multiples c = kN, 0 < c <= B, and every c that divides m gives
+    the two candidates (b, c) and (-b, -c) with b = m / c when |b| <= B.
+    The skips drop only candidates that ``contains``, still the final
+    filter, would reject; nothing is factored.
+    """
     B = entry_bound
+    N = {GroupKind.FULL: 1, GroupKind.PRINCIPAL2: 2}.get(spec.kind, spec.p)
+    a_is_pm1 = spec.kind in (GroupKind.PRINCIPAL2, GroupKind.GAMMA1)
     out: dict[int, list[Mat]] = {t: [] for t in range(3, max_trace + 1)}
     for t in range(3, max_trace + 1):
         for a in range(t - B, B + 1):  # |a| <= B and |t - a| <= B
             d = t - a
-            m = a * d - 1  # nonzero: ad = 1 would give |t| = 2
-            for b in _signed_divisors(abs(m)):
-                c = m // b
-                if abs(b) > B or abs(c) > B:
+            m = a * d - 1
+            if m % N or (a_is_pm1 and (a + 1) % N and (a - 1) % N):
+                continue
+            for c in range(N, B + 1, N):
+                if m % c:
                     continue
-                M: Mat = (a, b, c, d)
-                if contains(spec, M):
-                    out[t].append(M)
+                b = m // c
+                if abs(b) > B:
+                    continue
+                for M in ((a, b, c, d), (a, -b, -c, d)):
+                    if contains(spec, M):
+                        out[t].append(M)
     return out
 
 

@@ -2,7 +2,9 @@
 
 Each check returns a ``CheckResult`` with a pass flag, the measured
 numbers and the tolerance it was held to, so the CLI and the test suite
-run exactly the same code.
+run exactly the same code.  The checks that need ``modforms`` or
+``degeneration`` import them themselves: both load numpy, which the
+other checks, and ``import zal.verify`` itself, do without.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from . import arakelov, degeneration, modforms, oracles, selberg, specfun, tautconst
+from . import arakelov, oracles, selberg, specfun, tautconst
 from .lengthspec import GroupSpec, group_invariants, modular_spectrum, subgroup_spectrum
 
 __all__ = ["CheckResult", "run_check", "run_all", "CHECKS"]
@@ -92,6 +94,7 @@ def check_small_length_asymptotic() -> CheckResult:
 
 
 def check_b_spectrum_and_burger() -> CheckResult:
+    from . import degeneration
     worst = 0.0
     cases = 0
     for g in range(0, 3):
@@ -127,6 +130,7 @@ def check_b_spectrum_and_burger() -> CheckResult:
 
 
 def check_degeneration_consistency() -> CheckResult:
+    from . import degeneration
     worst = 0.0
     ident_worst = 0.0
     for t in (1e-2, 1e-4, 1e-8):
@@ -184,6 +188,7 @@ def check_selberg_convergence() -> CheckResult:
 
 
 def check_coefficient_oracles() -> CheckResult:
+    from . import modforms
     f = modforms.eta_product_qexp(600)
     traces = modforms.frobenius_traces(200)
     mismatches = [ell for ell, a in traces.items() if a != f.a(ell)]
@@ -195,6 +200,7 @@ def check_coefficient_oracles() -> CheckResult:
 
 
 def check_hida_rationality() -> CheckResult:
+    from . import modforms
     sym = modforms.level11_sym2()
     pet = modforms.petersson_norm(modforms.eta_product_qexp(8000), tol=1e-8)
     h = modforms.hida_ratio(sym, pet)
@@ -236,6 +242,7 @@ def check_exponent_ledger() -> CheckResult:
 
 
 def check_sym2_self_consistency() -> CheckResult:
+    from . import modforms
     sym = modforms.level11_sym2()
     return CheckResult(
         name="sym2_functional_equation",

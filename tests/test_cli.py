@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import zal
 from zal.cli import main
 
 
@@ -98,6 +100,14 @@ class TestMisc:
         assert code != 0
         assert "usage" in err.lower()
 
+    def test_cli_and_verify_import_load_no_numpy(self):
+        # the checks that need numpy import modforms or degeneration themselves
+        src = str(Path(zal.__file__).parents[1])
+        code = ("import sys, zal.cli, zal.verify; "
+                "sys.exit(any(m in sys.modules for m in ('numpy', 'scipy')))")
+        assert subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                              timeout=60).returncode == 0
+
     def test_unknown_command(self):
         code, _, _ = run_cli(["frobnicate"])
         assert code != 0
@@ -120,3 +130,22 @@ class TestMisc:
         assert main(["constants", "check", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["pass_fail"]["taut_relations"] is True
+
+
+class TestLvalue:
+    def test_tolerance_below_every_hypothesis_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lvalue", "--tol", "1e-8"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage" in err.lower() and "--tol 1e-08" in err
+
+    def test_other_arithmetic_errors_propagate(self, monkeypatch):
+        from zal import modforms
+
+        def fold_failure(*args, **kwargs):
+            raise ArithmeticError("fold identity failed its spot check")
+
+        monkeypatch.setattr(modforms, "sym2_L_value", fold_failure)
+        with pytest.raises(ArithmeticError, match="fold identity"):
+            main(["lvalue"])

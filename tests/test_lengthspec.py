@@ -307,8 +307,9 @@ class TestSubgroupSpectrum:
         prod = {e.trace: e.multiplicity for e in ls.subgroup_spectrum(spec, 8).entries}
         assert bf == prod
 
-    # Gamma1(29) and Gamma1(31) have no class below trace p - 2, so at trace 14
-    # they would compare two empty spectra; Gamma1 is checked at p = 13 only.
+    # Gamma1(p) for p >= 17 has no class below trace p - 2, so at trace 14 it
+    # would compare two empty spectra; Gamma1(29) and Gamma1(31) are checked
+    # at their first trace in test_bruteforce_gamma1_first_trace.
     @pytest.mark.parametrize("kind,p,bound", [("gamma0", 13, 80), ("gamma0", 17, 120),
                                               ("gamma0", 23, 200), ("gamma0", 29, 200),
                                               ("gamma0", 31, 200), ("gamma1", 13, 400)])
@@ -317,6 +318,14 @@ class TestSubgroupSpectrum:
         bf = oracles.bruteforce_subgroup_counts(spec, 14, bound)
         prod = {e.trace: e.multiplicity for e in ls.subgroup_spectrum(spec, 14).entries}
         assert bf == prod
+
+    # the only trace up to p + 1 is p - 2; at B = 8000 Gamma1(31) finds 116 of its 120
+    @pytest.mark.parametrize("p,bound,classes", [(29, 8000, 70), (31, 10000, 120)])
+    def test_bruteforce_gamma1_first_trace(self, p, bound, classes):
+        spec = ls.GroupSpec.gamma1(p)
+        bf = oracles.bruteforce_subgroup_counts(spec, p + 1, bound)
+        prod = {e.trace: e.multiplicity for e in ls.subgroup_spectrum(spec, p + 1).entries}
+        assert bf == prod == {p - 2: classes}
 
     def test_lengths_are_multiples_of_ambient(self):
         amb = {e.trace: e.length for e in ls.modular_spectrum(12).entries}

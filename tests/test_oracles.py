@@ -85,6 +85,53 @@ class TestIsPowerInGroup:
                         assert oracles.is_power_in_group(P, spec), (spec, N, P)
 
 
+def _enumerate_by_divisor_scan(spec, max_trace, B):
+    """The former enumerate_subgroup_elements: every signed divisor b of
+    a d - 1 for every a in the window, filtered by ``contains``."""
+    out = {t: [] for t in range(3, max_trace + 1)}
+    for t in range(3, max_trace + 1):
+        for a in range(t - B, B + 1):
+            d = t - a
+            m = a * d - 1
+            for b in oracles._signed_divisors(abs(m)):
+                c = m // b
+                if abs(b) <= B and abs(c) <= B and ls.contains(spec, (a, b, c, d)):
+                    out[t].append((a, b, c, d))
+    return out
+
+
+def _spec(kind, p):
+    return getattr(ls.GroupSpec, kind)(p) if p else getattr(ls.GroupSpec, kind)()
+
+
+# one brute-force window per group of the benchmark's crosscheck workload, then wider ones
+ENUM_WINDOWS = [("principal2", None, 20, 41), ("gamma0", 11, 20, 81), ("gamma0", 17, 20, 122),
+                ("gamma0", 23, 20, 122), ("gamma0", 31, 20, 223), ("gamma1", 11, 12, 406),
+                ("gamma1", 13, 14, 404), ("full", None, 20, 40), ("principal2", None, 30, 80),
+                ("gamma0", 13, 24, 120), ("gamma1", 11, 20, 300), ("gamma0", 29, 14, 200),
+                ("gamma1", 13, 16, 200), ("gamma0", 19, 18, 150)]
+
+
+@pytest.mark.parametrize("kind,p,max_trace,bound", ENUM_WINDOWS,
+                         ids=[f"{k}{f'_{p}' if p else ''}_T{t}_B{b}"
+                              for k, p, t, b in ENUM_WINDOWS])
+def test_congruence_enumeration_matches_divisor_scan(kind, p, max_trace, bound):
+    spec = _spec(kind, p)
+    got = oracles.enumerate_subgroup_elements(spec, max_trace, bound)
+    want = _enumerate_by_divisor_scan(spec, max_trace, bound)
+    assert {t: sorted(v) for t, v in got.items()} == {t: sorted(v) for t, v in want.items()}
+    assert all(len(set(v)) == len(v) for v in got.values())
+    assert any(got.values())
+
+
+def test_enumeration_factors_nothing(monkeypatch):
+    def forbidden(m):
+        raise AssertionError("divisor scan called")
+
+    monkeypatch.setattr(oracles, "_signed_divisors", forbidden)
+    assert oracles.bruteforce_subgroup_counts(ls.GroupSpec.gamma1(13), 14, 400)
+
+
 class TestIsPowerInGroupDomain:
     def test_rejects_matrix_outside_the_group(self):
         with pytest.raises(ValueError):
