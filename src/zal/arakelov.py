@@ -167,7 +167,7 @@ def special_value_exponents(spec: GroupSpec,
 
 def _slot_l_value(spec: GroupSpec) -> tuple[float, float, tuple[str, ...]] | None:
     """The slot's L-value, est_error and caveats; None off level 11, which has no pipeline."""
-    if spec.p != 11:
+    if spec.level != 11:
         return None
     from .modforms import level11_sym2
     sym = level11_sym2()

@@ -91,13 +91,13 @@ def _emit(env: ReportEnvelope, as_json: bool) -> int:
 def _group_spec(name: str, p: int | None):
     """The group of ``--group``/``--p``; Gamma0 and Gamma1 default to p = 11.
 
-    The constructor rejects a level for the level-free groups and a bad
-    level for the others."""
-    from .lengthspec import GroupKind, GroupSpec
-    kind = GroupKind(name)
-    if p is None and kind in (GroupKind.GAMMA0, GroupKind.GAMMA1):
-        p = 11
-    return GroupSpec(kind, p)
+    The constructor rejects a bad level for Gamma0 and Gamma1."""
+    from .lengthspec import GroupSpec
+    if name in ("full", "gamma2"):
+        if p is not None:
+            raise ValueError(f"{name} takes no level")
+        return GroupSpec.full() if name == "full" else GroupSpec.principal2()
+    return (GroupSpec.gamma0 if name == "gamma0" else GroupSpec.gamma1)(11 if p is None else p)
 
 
 def cmd_specfun(args) -> int:
@@ -240,7 +240,7 @@ def cmd_lvalue(args) -> int:
 
 def cmd_theorem_b(args) -> int:
     from .arakelov import special_value_exponents, zprime_prediction
-    from .lengthspec import group_invariants
+    from .lengthspec import GroupSpec, group_invariants
     from .specfun import compute_constants
     spec = args.spec
     env = ReportEnvelope("theoremB", inputs={"group": spec.label()})
@@ -258,7 +258,7 @@ def cmd_theorem_b(args) -> int:
     env.record("numeric_prediction", val, None if val is None else abs(val) * rel_err)
     env.caveats.extend(caveats)
     env.pass_fail = {"ledger_matches_closed_forms": True}
-    if spec.kind.value == "gamma2":
+    if spec == GroupSpec.principal2():
         env.pass_fail["anchor"] = (exps.b, exps.c) == (Fraction(5, 3), Fraction(-8, 3))
     return _emit(env, args.json)
 

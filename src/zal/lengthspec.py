@@ -10,18 +10,27 @@ formula with certified rounding (``classnum``).  The reduction cycles
 that check those counts, serve as their fallback and give explicit class
 representatives live in ``oracles``.
 
+Every group is Gamma0(N), Gamma1(N) or Gamma(N), given by its kind and
+level N, with Gamma0(N) > Gamma1(N) > Gamma(N) (Shimura, Arithmetic
+Theory of Automorphic Functions, 1.6): [[a, b], [c, d]] has N | c, then
+also N | a - d, then also N | b.  The full group is Gamma0(1); the others
+modelled are Gamma(2) and Gamma0(p), Gamma1(p) for prime p >= 11.  As
+N | c gives ad = 1 mod N, at prime N (and N <= 2) a = d mod N means
+a = d = +-1 mod N, and the bottom row is a point of P^1(Z/N) with first
+nonzero entry 1, the Gamma0 coset label; composite N needs more.
+
 Subgroup spectra come from the covering of the modular surface: a
 primitive ambient class M of trace t acts on the cosets of the subgroup,
 and each orbit of size k contributes one primitive class of trace
 T_k(t) = tr M^k.  The enumeration is complete up to max_trace because
-T_k(t) grows with k.  Every group here contains the principal congruence
-subgroup of level N (1, 2 or p), so the orbit sizes depend only on M mod
-N up to GL2(Z/N) conjugation, and that class is fixed by (t mod N, N | u),
-u the content of M's fixed-point form: M is +-I mod N exactly when N | u,
-and otherwise conjugate to the companion matrix of x^2 - t x + 1
-(Fulton-Harris, Representation Theory, 5.2).  Every spectrum is thus a
-sum over class counts per (t, u) and one orbit-size table per group.
-Genus, cusps and elliptic points are read off the same coset table.
+T_k(t) grows with k.  Every group contains Gamma(N), so the orbit sizes
+depend only on M mod N up to GL2(Z/N) conjugation, and that class is
+fixed by (t mod N, N | u), u the content of M's fixed-point form: M is
++-I mod N exactly when N | u, and otherwise conjugate to the companion
+matrix of x^2 - t x + 1 (Fulton-Harris, Representation Theory, 5.2).
+Every spectrum is thus a sum over class counts per (t, u) and one
+orbit-size table per group.  Genus, cusps and elliptic points are read
+off the same coset table.
 
 Everything here is exact integer arithmetic except the final lengths.
 """
@@ -52,10 +61,9 @@ M_ID: Mat = (1, 0, 0, 1)
 
 
 class GroupKind(Enum):
-    FULL = "full"
-    PRINCIPAL2 = "gamma2"
     GAMMA0 = "gamma0"
     GAMMA1 = "gamma1"
+    GAMMA = "gamma"
 
 
 def _is_prime(n: int) -> bool:
@@ -73,23 +81,26 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GroupSpec:
+    """The group of the given kind and level N: Gamma0(1), the full group;
+    Gamma(2); or Gamma0(p), Gamma1(p) for prime p >= 11."""
     kind: GroupKind
-    p: int | None = None
+    level: int
 
     def __post_init__(self) -> None:
-        if self.kind in (GroupKind.GAMMA0, GroupKind.GAMMA1):
-            if self.p is None or not _is_prime(self.p) or self.p < 11:
-                raise ValueError(f"{self.kind.value} needs a prime level p >= 11")
-        elif self.p is not None:
-            raise ValueError(f"{self.kind.value} takes no level")
+        k, N = self.kind, self.level
+        if not (isinstance(N, int) and (
+                (k, N) in ((GroupKind.GAMMA0, 1), (GroupKind.GAMMA, 2))
+                or k is not GroupKind.GAMMA and N >= 11 and _is_prime(N))):
+            raise ValueError(f"{k.value}({N}) is not modelled: the groups are gamma0(1), "
+                             f"gamma(2), and gamma0(p), gamma1(p) for prime p >= 11")
 
     @classmethod
     def full(cls) -> "GroupSpec":
-        return cls(GroupKind.FULL)
+        return cls(GroupKind.GAMMA0, 1)
 
     @classmethod
     def principal2(cls) -> "GroupSpec":
-        return cls(GroupKind.PRINCIPAL2)
+        return cls(GroupKind.GAMMA, 2)
 
     @classmethod
     def gamma0(cls, p: int) -> "GroupSpec":
@@ -107,19 +118,11 @@ class GroupSpec:
         return 12 * g == 12 + m - 6 * n
 
     def label(self) -> str:
-        if self.p is not None:
-            return f"{self.kind.value}({self.p})"
-        return self.kind.value
-
-
-def _no_level(spec: GroupSpec) -> ValueError:
-    """The error for a Gamma0 / Gamma1 spec that lost its level p.
-
-    Callers test ``spec.p is None`` inline, so ``_label_act``, which runs
-    once per coset for every coset table and coset permutation built,
-    pays no extra call.
-    """
-    return ValueError(f"{spec.kind.value} spec has no level p")
+        if self.level == 1:
+            return "full"
+        if self.kind is GroupKind.GAMMA:
+            return f"gamma{self.level}"
+        return f"{self.kind.value}({self.level})"
 
 
 def mat_mul(x: Mat, y: Mat) -> Mat:
@@ -189,38 +192,29 @@ def _entries_from_counts(counts: dict[int, int]) -> tuple[GeodesicClass, ...]:
 
 
 def contains(spec: GroupSpec, M: Mat) -> bool:
-    """Membership of +-M in the subgroup, M an SL2(Z) matrix."""
+    """Membership of +-M in the subgroup, M an SL2(Z) matrix: N | c, then
+    for Gamma1 and Gamma N | a - d, then for Gamma N | b.  N | c gives
+    ad = 1 mod N, so at prime N (and N <= 2) N | a - d is exactly
+    a = d = +-1 mod N; composite N would need that tested."""
     a, b, c, d = M
-    if spec.kind == GroupKind.FULL:
-        return True
-    if spec.kind == GroupKind.PRINCIPAL2:
-        return b % 2 == 0 and c % 2 == 0 and a % 2 == 1 and d % 2 == 1
-    p = spec.p
-    if p is None:
-        raise _no_level(spec)
-    if c % p:
-        return False
-    if spec.kind == GroupKind.GAMMA0:
-        return True
-    return (a % p == 1 and d % p == 1) or (a % p == p - 1 and d % p == p - 1)
+    N = spec.level
+    return c % N == 0 and (spec.kind is GroupKind.GAMMA0 or (a - d) % N == 0 and (
+        spec.kind is GroupKind.GAMMA1 or b % N == 0))
 
 
 # the generators T and S of SL2(Z)
 _GENS: tuple[Mat, Mat] = ((1, 1, 0, 1), (0, -1, 1, 0))
 
-# label of the identity coset under each kind's invariant in _label_act
-_ID_LABEL = {GroupKind.FULL: 0, GroupKind.PRINCIPAL2: M_ID,
-             GroupKind.GAMMA0: (0, 1), GroupKind.GAMMA1: (0, 1)}
-
 
 def _index(spec: GroupSpec) -> int:
-    """Closed-form index of the image in PSL2(Z), to check the coset walk."""
-    if spec.kind == GroupKind.FULL:
-        return 1
-    if spec.kind == GroupKind.PRINCIPAL2:
-        return 6
-    p = spec.p  # the walk has already rejected a missing level
-    return p + 1 if spec.kind == GroupKind.GAMMA0 else (p * p - 1) // 2
+    """Closed-form index of the image in PSL2(Z) at N prime or N <= 2, to
+    check the coset walk; -I lies in Gamma(N) only for N <= 2."""
+    N = spec.level
+    if spec.kind is GroupKind.GAMMA0:
+        return N + (N > 1)
+    if spec.kind is GroupKind.GAMMA1:
+        return (N * N - 1) // 2
+    return N * (N * N - 1) // (2 if N > 2 else 1)
 
 
 @cache
@@ -238,7 +232,7 @@ def _coset_table(spec: GroupSpec) -> tuple[list, dict, list[Mat]]:
     many labels, so it ends.  Its size is checked against ``_index``,
     which does not use the walk; the invariants are read off the table.
     """
-    lab0 = _ID_LABEL[spec.kind]
+    lab0 = _label(spec, M_ID)
     labels: list = [lab0]
     index: dict = {lab0: 0}
     reps: list[Mat] = [M_ID]
@@ -257,35 +251,33 @@ def _coset_table(spec: GroupSpec) -> tuple[list, dict, list[Mat]]:
 
 
 def _label(spec: GroupSpec, M: Mat):
-    """Label of the coset of M."""
-    return _label_act(spec, _ID_LABEL[spec.kind], M)
+    """Label of the coset of M: the identity's matrix, or its bottom row,
+    acted on by M."""
+    return _label_act(spec, M_ID if spec.kind is GroupKind.GAMMA else M_ID[2:], M)
 
 
 def _label_act(spec: GroupSpec, lab, M: Mat):
     """Label of (coset rep with label lab) * M, computed on labels only.
 
     The label of a coset (Gamma g) is a right-multiplication-equivariant
-    invariant of g: the matrix mod 2 for the principal level-2 group,
-    the bottom row projectively mod p for Gamma0, the bottom row mod p
-    up to sign for Gamma1.
+    invariant of g, reduced mod N: for Gamma the matrix up to sign, for
+    Gamma1 the bottom row up to sign, for Gamma0 the bottom row scaled so
+    its first nonzero entry is 1.
     """
     a, b, c, d = M
-    if spec.kind == GroupKind.FULL:
-        return 0
-    if spec.kind == GroupKind.PRINCIPAL2:
+    N = spec.level
+    if spec.kind is GroupKind.GAMMA:
         la, lb, lc, ld = lab
-        return ((la * a + lb * c) % 2, (la * b + lb * d) % 2,
-                (lc * a + ld * c) % 2, (lc * b + ld * d) % 2)
-    p = spec.p
-    if p is None:
-        raise _no_level(spec)
+        x = ((la * a + lb * c) % N, (la * b + lb * d) % N,
+             (lc * a + ld * c) % N, (lc * b + ld * d) % N)
+        return min(x, tuple(-v % N for v in x))
     lc, ld = lab
-    nc, nd = (lc * a + ld * c) % p, (lc * b + ld * d) % p
-    if spec.kind == GroupKind.GAMMA0:
-        if nc == 0:
-            return (0, 1)
-        return (1, nd * pow(nc, -1, p) % p)
-    return min((nc, nd), (-nc % p, -nd % p))
+    nc, nd = (lc * a + ld * c) % N, (lc * b + ld * d) % N
+    if spec.kind is GroupKind.GAMMA1:
+        return min((nc, nd), (-nc % N, -nd % N))
+    if nc == 0:
+        return (0, 1)
+    return (1, nd * pow(nc, -1, N) % N)
 
 
 def coset_permutation(spec: GroupSpec, M: Mat) -> list[int]:
@@ -344,9 +336,7 @@ def _orbit_sizes(spec: GroupSpec, r: int, scalar: bool) -> tuple[int, ...]:
 def _spectrum(spec: GroupSpec, max_trace: int) -> LengthSpectrum:
     """The counting loop of both spectrum functions: the h ambient classes
     of trace t and content u add h classes of trace T_k(t) per orbit size k."""
-    N = {GroupKind.FULL: 1, GroupKind.PRINCIPAL2: 2}.get(spec.kind, spec.p)
-    if N is None:
-        raise _no_level(spec)
+    N = spec.level
     from . import classnum  # loads numpy and scipy: only where a spectrum is counted
 
     rows = classnum.CLASS_COUNTS.upto(max_trace)

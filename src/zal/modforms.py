@@ -83,7 +83,8 @@ class BadPrimeError(ValueError):
 
 
 class NoHypothesisError(ArithmeticError):
-    """No Sym^2 hypothesis scored below the search's tolerance."""
+    """No unique Sym^2 hypothesis: none, or more than one, scored below the
+    search's tolerance."""
 
 
 @dataclass(frozen=True)
@@ -479,7 +480,9 @@ def sym2_L_value(f: QExpansion, s: float = 2.0, tol: float = 1e-6,
 
     Every hypothesis in {11, 121} x {trivial, root +-1, +-1/11} x {+-1}
     is scored by the cutoff-independence residual
-    |Lambda_X - Lambda_2X| / |Lambda_X|; exactly one survives below tol.
+    |Lambda_X - Lambda_2X| / |Lambda_X|; exactly one must survive below
+    tol, and with none or several there is no unique hypothesis and
+    ``NoHypothesisError`` says how many.
     """
     if f.level != LEVEL:
         raise ValueError("only the level-11 pipeline is modeled")
@@ -487,13 +490,10 @@ def sym2_L_value(f: QExpansion, s: float = 2.0, tol: float = 1e-6,
         f = eta_product_qexp(n_terms)
     results = _score_hypotheses(f, s, n_terms)
     winners = [r for r in results if r[0] < tol]
-    if not winners:
-        raise NoHypothesisError(f"self-consistency search found 0 hypotheses below {tol}; "
-                                f"the best residual at {n_terms} terms is {results[0][0]:.2e}")
     if len(winners) != 1:
-        raise ArithmeticError(
-            f"self-consistency search found {len(winners)} hypotheses below {tol}"
-        )
+        raise NoHypothesisError(f"self-consistency search found {len(winners)} hypotheses "
+                                f"below {tol}; the best residual at {n_terms} terms is "
+                                f"{results[0][0]:.2e}")
     res, cond, beta, w_sign, lam = winners[0]
     gam = (cond ** (s / 2) * _gamma_completed(np.array([complex(s)]))[0]).real
     value = lam / gam

@@ -31,9 +31,9 @@ Three oracle layers, none of which trusts the production counting route:
    element M is a proper power in Gamma iff |tr M| != |tr z^d|.
 
 3. bounded-entry enumeration of subgroup elements by congruence, with
-   no factoring: for level N (2 for Gamma(2), p for Gamma0(p) and
-   Gamma1(p)) only a with N | ad - 1, and a = +-1 mod N for Gamma(2) and
-   Gamma1(p), are kept, and c runs over the multiples of N; the elements
+   no factoring: for the group's level N only a with N | ad - 1, and
+   a = +-1 mod N for Gamma1 and Gamma, are kept, and c runs over the
+   multiples of N from |ad - 1| / B, so that |b| <= B; the elements
    are classified with the exact decision, and comparing per-trace class
    counts against the production covering-space route validates both
    multiplicities and completeness at desk scale.
@@ -421,19 +421,19 @@ def enumerate_subgroup_elements(spec: GroupSpec, max_trace: int,
     """All subgroup elements with 3 <= trace <= max_trace, |entries| <= B.
 
     An element [[a, b], [c, d]] of trace t has d = t - a and bc = m with
-    m = ad - 1, nonzero since ad = 1 would give |t| = 2.  Let N be 1 for
-    the full group, 2 for Gamma(2) and p for Gamma0(p) and Gamma1(p).
-    Every element has N | c, and c | m, so a with N not dividing m is
-    skipped; in Gamma(2) a is odd and in Gamma1(p) a = +-1 mod p, so
+    m = ad - 1, nonzero since ad = 1 would give |t| = 2.  Let N be the
+    level.  Every element has N | c, and c | m, so a with N not dividing
+    m is skipped; in Gamma1 and Gamma a = d mod N with ad = 1 mod N, so
     there a must be +-1 mod N too.  The lower-left entry then runs over
-    the multiples c = kN, 0 < c <= B, and every c that divides m gives
-    the two candidates (b, c) and (-b, -c) with b = m / c when |b| <= B.
-    The skips drop only candidates that ``contains``, still the final
-    filter, would reject; nothing is factored.
+    the multiples c = kN with |m| / B <= c <= B, the lower bound being
+    |b| <= B, and every c that divides m gives the two candidates (b, c)
+    and (-b, -c) with b = m / c.  The skips drop only candidates that
+    ``contains``, still the final filter, would reject; nothing is
+    factored.
     """
     B = entry_bound
-    N = {GroupKind.FULL: 1, GroupKind.PRINCIPAL2: 2}.get(spec.kind, spec.p)
-    a_is_pm1 = spec.kind in (GroupKind.PRINCIPAL2, GroupKind.GAMMA1)
+    N = spec.level
+    a_is_pm1 = spec.kind is not GroupKind.GAMMA0
     out: dict[int, list[Mat]] = {t: [] for t in range(3, max_trace + 1)}
     for t in range(3, max_trace + 1):
         for a in range(t - B, B + 1):  # |a| <= B and |t - a| <= B
@@ -441,12 +441,11 @@ def enumerate_subgroup_elements(spec: GroupSpec, max_trace: int,
             m = a * d - 1
             if m % N or (a_is_pm1 and (a + 1) % N and (a - 1) % N):
                 continue
-            for c in range(N, B + 1, N):
+            # the least multiple of N that is >= max(N, |m| / B)
+            for c in range(max(1, -(-abs(m) // (B * N))) * N, B + 1, N):
                 if m % c:
                     continue
                 b = m // c
-                if abs(b) > B:
-                    continue
                 for M in ((a, b, c, d), (a, -b, -c, d)):
                     if contains(spec, M):
                         out[t].append(M)

@@ -140,6 +140,13 @@ class TestLvalue:
         err = capsys.readouterr().err
         assert "usage" in err.lower() and "--tol 1e-08" in err
 
+    def test_tolerance_above_several_hypotheses_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lvalue", "--tol", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage" in err.lower() and "found 10 hypotheses below 1.0" in err
+
     def test_other_arithmetic_errors_propagate(self, monkeypatch):
         from zal import modforms
 

@@ -24,7 +24,26 @@ class TestGroupSpec:
         with pytest.raises(ValueError):
             ls.GroupSpec.gamma0(7)
         with pytest.raises(ValueError):
-            ls.GroupSpec(ls.GroupKind.FULL, p=11)
+            ls.GroupSpec.gamma1(121)
+
+    def test_constructors_are_the_direct_spellings(self):
+        K = ls.GroupKind
+        assert ls.GroupSpec.full() == ls.GroupSpec(K.GAMMA0, 1)
+        assert ls.GroupSpec.principal2() == ls.GroupSpec(K.GAMMA, 2)
+        assert ls.GroupSpec.gamma0(13) == ls.GroupSpec(K.GAMMA0, 13)
+        assert ls.GroupSpec.gamma1(11) == ls.GroupSpec(K.GAMMA1, 11)
+
+    @pytest.mark.parametrize("kind,level", [
+        ("GAMMA1", 1), ("GAMMA", 1), ("GAMMA0", 2), ("GAMMA1", 2), ("GAMMA", 3),
+        ("GAMMA", 11), ("GAMMA0", 12), ("GAMMA0", 0), ("GAMMA0", -11), ("GAMMA1", None)])
+    def test_rejected_pairs(self, kind, level):
+        with pytest.raises(ValueError):
+            ls.GroupSpec(ls.GroupKind[kind], level)
+
+    def test_labels(self):
+        specs = (ls.GroupSpec.full(), ls.GroupSpec.principal2(),
+                 ls.GroupSpec.gamma0(11), ls.GroupSpec.gamma1(13))
+        assert [s.label() for s in specs] == ["full", "gamma2", "gamma0(11)", "gamma1(13)"]
 
     def test_torsion_flags(self):
         assert ls.GroupSpec.principal2().torsion_free
@@ -42,11 +61,11 @@ class TestGroupSpec:
 def _closed_form_invariants(spec):
     """(g, n, m, torsion_free) from the per-kind formulae that the coset
     table replaced, kept here as the reference it is checked against."""
-    if spec.kind == ls.GroupKind.FULL:
+    p = spec.level
+    if p == 1:
         return 0, 1, 1, False
-    if spec.kind == ls.GroupKind.PRINCIPAL2:
+    if spec.kind == ls.GroupKind.GAMMA:  # Gamma(2)
         return 0, 3, 6, True
-    p = spec.p
     if spec.kind == ls.GroupKind.GAMMA0:
         m = p + 1
         nu2 = 1 + (1 if p % 4 == 1 else -1)
@@ -54,6 +73,22 @@ def _closed_form_invariants(spec):
         return (12 + m - 3 * nu2 - 4 * nu3 - 12) // 12, 2, m, nu2 == nu3 == 0
     m, n = (p * p - 1) // 2, p - 1  # Gamma1(p), p >= 11: no torsion
     return (12 + m - 6 * n) // 12, n, m, True
+
+
+def _closed_form_contains(spec, M):
+    """Membership by the per-kind rules that the nested level test
+    replaced, kept here as the reference it is checked against."""
+    a, b, c, d = M
+    p = spec.level
+    if p == 1:
+        return True
+    if spec.kind == ls.GroupKind.GAMMA:  # Gamma(2)
+        return b % 2 == 0 and c % 2 == 0 and a % 2 == 1 and d % 2 == 1
+    if c % p:
+        return False
+    if spec.kind == ls.GroupKind.GAMMA0:
+        return True
+    return (a % p == 1 and d % p == 1) or (a % p == p - 1 and d % p == p - 1)
 
 
 class TestTableInvariants:
@@ -395,7 +430,7 @@ class TestCosetTables:
     def test_orbit_sizes_depend_only_on_key(self, spec, t, data):
         # the table behind both spectrum functions against the per-class walk
         M = data.draw(st.sampled_from(oracles.ambient_classes(t)))
-        N = spec.p or (2 if spec.kind == ls.GroupKind.PRINCIPAL2 else 1)
+        N = spec.level
         u = math.gcd(*oracles.form_of_matrix(M))
         sizes = sorted(k for _, k in ls._orbits(ls.coset_permutation(spec, M)))
         assert tuple(sizes) == ls._orbit_sizes(spec, t % N, u % N == 0)
@@ -407,8 +442,17 @@ class TestCosetTables:
         assert ls.contains(spec, M) == (ls._label(spec, M) == id_label)
         # T^N lies in the principal congruence subgroup of level N, which is
         # normal in SL2(Z) and contained in every group here
-        W = ls.mat_mul(ls.mat_mul(M, (1, spec.p or 2, 0, 1)), oracles.mat_inv(M))
+        W = ls.mat_mul(ls.mat_mul(M, (1, spec.level, 0, 1)), oracles.mat_inv(M))
         assert ls.contains(spec, W) and ls._label(spec, W) == id_label
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(ALL_SPECS), _ts_words())
+    def test_contains_matches_per_kind_rules(self, spec, M):
+        N = spec.level
+        W = ls.mat_mul(ls.mat_mul(M, (1, N, 0, 1)), oracles.mat_inv(M))
+        V = (2, 1, N, (N + 1) // 2) if N % 2 else (1, 1, N, 3)  # in Gamma0(N) only
+        for X in (M, W, tuple(-x for x in M), V, ls.mat_mul(W, V)):
+            assert ls.contains(spec, X) == _closed_form_contains(spec, X)
 
     def test_walk_size_checked_against_index_formula(self, monkeypatch):
         ls._coset_table.cache_clear()
@@ -531,27 +575,3 @@ class TestPell:
     def test_rejects_non_discriminant(self):
         with pytest.raises(ValueError):
             oracles.pell_fundamental(16)
-
-
-class TestGuards:
-    """Explicit errors that hold under python -O, where assert is removed."""
-
-    @staticmethod
-    def _levelless(kind):
-        spec = ls.GroupSpec.gamma0(11) if kind == "gamma0" else ls.GroupSpec.gamma1(11)
-        object.__setattr__(spec, "p", None)  # bypass the constructor's check
-        return spec
-
-    @pytest.mark.parametrize("call", [
-        lambda s: ls.group_invariants(s),
-        lambda s: ls.contains(s, (1, 0, 0, 1)),
-        lambda s: ls._coset_table(s),
-        lambda s: ls._label(s, (1, 0, 0, 1)),
-        lambda s: ls._label_act(s, (0, 1), (1, 0, 0, 1)),
-        lambda s: ls.subgroup_spectrum(s, 14),
-    ], ids=["group_invariants", "contains", "coset_table", "label", "label_act",
-            "subgroup_spectrum"])
-    @pytest.mark.parametrize("kind", ["gamma0", "gamma1"])
-    def test_levelless_spec_raises(self, call, kind):
-        with pytest.raises(ValueError, match=kind):
-            call(self._levelless(kind))
