@@ -104,8 +104,11 @@ def cmd_specfun(args) -> int:
     from . import specfun
     env = ReportEnvelope("specfun check", inputs={"abs_tol": args.tol})
     budget = specfun.PrecisionBudget(abs_tol=args.tol)
+    try:
+        zp = specfun.zeta_prime_minus1(budget)
+    except specfun.BudgetExhaustedError as exc:
+        raise _UsageError(f"--tol {args.tol}: {exc}") from exc
     r1, r2 = specfun.zeta_prime_minus1_routes(budget)
-    zp = specfun.zeta_prime_minus1(budget)
     lg2 = specfun.log_barnes_gamma2_half(budget)
     g2 = math.exp(lg2)
     resid = specfun.voros_residual(zp, lg2)
@@ -204,16 +207,18 @@ def cmd_degenerate(args) -> int:
 
 
 def cmd_lvalue(args) -> int:
-    from .modforms import (NoHypothesisError, coefficients_csv, eta_product_qexp,
-                           hida_ratio, petersson_norm, sym2_L_value)
+    from .modforms import (_N_TERMS, NoHypothesisError, coefficients_csv,
+                           eta_product_qexp, hida_ratio, petersson_norm, sym2_L_value)
     env = ReportEnvelope("lvalue", inputs={"tol": args.tol})
-    f = eta_product_qexp(8000)
+    f = eta_product_qexp(_N_TERMS)
     if args.coeffs_out:
+        if args.coeffs_n < 1:
+            raise _UsageError(f"--coeffs-n {args.coeffs_n}: need at least one coefficient")
         with open(args.coeffs_out, "w") as fh:
             fh.write(coefficients_csv(eta_product_qexp(args.coeffs_n)))
         env.record("coeffs_csv_path", args.coeffs_out, EXACT)
     try:
-        sym = sym2_L_value(f, 2.0, tol=args.tol, n_terms=8000)
+        sym = sym2_L_value(f, 2.0, tol=args.tol)
     except NoHypothesisError as exc:
         raise _UsageError(f"--tol {args.tol}: {exc}") from exc
     env.record("l_value_sym2_at_2", sym.value, sym.est_error)
@@ -354,9 +359,10 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
     from .arakelov import HypothesisError
+    from .specfun import DomainError
     try:
         return args.fn(args)
-    except (HypothesisError, _UsageError) as exc:
+    except (HypothesisError, DomainError, _UsageError) as exc:
         parser.error(str(exc))
 
 

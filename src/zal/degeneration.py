@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import DomainError
+
 __all__ = [
     "StarGraphModel",
     "SpectrumResult",
@@ -51,7 +53,7 @@ def wolpert_length(t: float) -> float:
     """Pinching-length law l(t) = 2 pi^2 / log(1/|t|), 0 < |t| < 1."""
     at = abs(t)
     if not 0.0 < at < 1.0:
-        raise ValueError("need 0 < |t| < 1")
+        raise DomainError("need 0 < |t| < 1")
     return 2.0 * math.pi ** 2 / math.log(1.0 / at)
 
 
@@ -63,13 +65,13 @@ class StarGraphModel:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError("star graph needs n >= 1 edges")
+            raise DomainError("star graph needs n >= 1 edges")
         if self.n > _MAX_N:
-            raise ValueError(f"model capped at n <= {_MAX_N}")
+            raise DomainError(f"model capped at n <= {_MAX_N}")
         if self.g < 0:
-            raise ValueError("genus must be >= 0")
+            raise DomainError("genus must be >= 0")
         if self.alpha <= 0:
-            raise ValueError("hub mass 2g-2+n must be positive")
+            raise DomainError("hub mass 2g-2+n must be positive")
         if len(self.edge_lengths) != self.n:
             raise ValueError("need one length per edge")
         if any(not l > 0 for l in self.edge_lengths):
@@ -210,12 +212,12 @@ def degeneration_consistency(g: int, n: int, t: float, Zx: float,
     the limit factors.
     """
     if n < 1:
-        raise ValueError("need n >= 1 pinching necks")
+        raise DomainError("need n >= 1 pinching necks")
     if not Zx > 0 or len(Zt_list) != n or any(not z > 0 for z in Zt_list):
         raise ValueError("synthetic derivative inputs must be positive, one per neck")
     alpha = 2 * g - 2 + n
     if alpha <= 0:
-        raise ValueError("unstable base type")
+        raise DomainError("unstable base type")
     base = Zx * math.prod(Zt_list)
     limit_const = (n / alpha + 1.0) / math.pi ** n * base
     lhs12 = abs(t) ** (n / 6.0) * limit_const

@@ -3,8 +3,9 @@
 The unique normalized weight-2 eigenform of level 11 is modeled two
 independent ways:
 
-* the eta product q prod (1-q^k)^2 (1-q^{11k})^2, expanded with exact
-  integer arithmetic (pentagonal-number sparsity makes this cheap);
+* the eta product q prod (1-q^k)^2 (1-q^{11k})^2, read from the exponent
+  table {1: 2, 11: 2} of prod_d eta(d z)^{e_d} and expanded with exact
+  integer arithmetic, one sparse pentagonal-number multiply per factor;
 * counting points on the fixed conductor-11 Weierstrass model
 
       y^2 + y = x^3 - x^2 - 10 x - 20
@@ -76,6 +77,7 @@ __all__ = [
 
 LEVEL = 11
 WEIERSTRASS = (0, -1, 1, -10, -20)  # a1, a2, a3, a4, a6 of the model above
+_N_TERMS = 8000  # q-expansion and Sym^2 Dirichlet-series truncation of the L-value
 
 
 class BadPrimeError(ValueError):
@@ -90,7 +92,6 @@ class NoHypothesisError(ArithmeticError):
 @dataclass(frozen=True)
 class QExpansion:
     level: int
-    weight: int
     coeffs: tuple[int, ...]  # a_1 .. a_N
 
     def __post_init__(self) -> None:
@@ -105,50 +106,46 @@ class QExpansion:
         return self.coeffs[n - 1]
 
 
-def _pentagonal_terms(N: int, step: int = 1) -> list[tuple[int, int]]:
-    """(exponent, sign) pairs of prod_k (1 - q^{step*k}) up to q^N."""
+def _pentagonal_terms(N: int, step: int) -> list[tuple[int, int]]:
+    """(exponent, sign) pairs of prod_k (1 - q^{step*k}) up to q^N: by Euler's
+    pentagonal theorem, step * j(3j - 1)/2 and step * j(3j + 1)/2 carry (-1)^j."""
     out = [(0, 1)]
     j = 1
-    while True:
-        hit = False
-        for jj in (j, -j):
-            e = step * jj * (3 * jj - 1) // 2
-            if 0 < e <= N:
+    while step * j * (3 * j - 1) // 2 <= N:
+        for e in (step * j * (3 * j - 1) // 2, step * j * (3 * j + 1) // 2):
+            if e <= N:
                 out.append((e, (-1) ** j))
-                hit = True
-        if not hit:
-            break
         j += 1
     return out
 
 
-def _square_sparse(terms: list[tuple[int, int]], N: int) -> np.ndarray:
-    arr = np.zeros(N + 1, dtype=np.int64)
-    for i, (e1, s1) in enumerate(terms):
-        if 2 * e1 <= N:
-            arr[2 * e1] += s1 * s1
-        for e2, s2 in terms[i + 1:]:
-            e = e1 + e2
-            if e <= N:
-                arr[e] += 2 * s1 * s2
-    return arr
+# eta(z)^2 eta(11 z)^2 as {d: e_d} of prod_d eta(d z)^{e_d}; e_d > 0
+_ETA_EXPONENTS = {1: 2, LEVEL: 2}
 
 
 @lru_cache(maxsize=4)
 def eta_product_qexp(N: int) -> QExpansion:
-    """Exact coefficients a_1..a_N of q prod (1-q^k)^2 (1-q^{11k})^2."""
+    """Exact coefficients a_1..a_N of q prod_d prod_k (1-q^{dk})^{e_d}.
+
+    Each factor is one sparse multiply by its pentagonal terms; a product
+    entry sums at most len(terms) entries of the running series, so that
+    bound is checked against int64 before every multiply.
+    """
     if N < 1:
         raise ValueError("need N >= 1")
     M = N - 1  # after factoring out the leading q
-    part1 = _square_sparse(_pentagonal_terms(M, 1), M)
-    part11_terms = _pentagonal_terms(M, 11)
-    part11 = _square_sparse(part11_terms, M)
-    if int(np.abs(part1).max()) * int(np.abs(part11).max()) * (M // 11 + 2) >= 2 ** 62:
-        raise OverflowError(f"N = {N} overflows the int64 coefficient convolution")
-    prod = np.zeros(M + 1, dtype=np.int64)
-    for e in np.nonzero(part11)[0]:
-        prod[e:] += part11[e] * part1[: M + 1 - e]
-    return QExpansion(level=LEVEL, weight=2, coeffs=tuple(int(x) for x in prod))
+    series = np.zeros(M + 1, dtype=np.int64)
+    series[0] = 1
+    for d, e in _ETA_EXPONENTS.items():
+        terms = _pentagonal_terms(M, d)
+        for _ in range(e):
+            if int(np.abs(series).max()) * len(terms) >= 2 ** 63:
+                raise OverflowError(f"N = {N} overflows the int64 coefficient product")
+            out = np.zeros_like(series)
+            for shift, sign in terms:
+                out[shift:] += sign * series[: M + 1 - shift]
+            series = out
+    return QExpansion(level=LEVEL, coeffs=tuple(int(x) for x in series))
 
 
 def point_count_ap(ell: int) -> int:
@@ -310,8 +307,7 @@ def sym2_local_poly(ell: int, a_ell: int) -> Sym2LocalFactor:
     return Sym2LocalFactor(ell=ell, poly_coeffs=(1, -e1, ell * e1, -ell ** 3))
 
 
-def _sym2_coeff_rows(f: QExpansion, N: int, bad_betas: tuple[int | None, ...],
-                     prime_cap: int | None = None) -> np.ndarray:
+def _sym2_coeff_rows(f: QExpansion, N: int, bad_betas: tuple[int | None, ...]) -> np.ndarray:
     """c_0 .. c_N of L(s, Sym^2 f) = sum c_n n^-s, one row per bad factor.
 
     Each beta is the reciprocal root of the degree-1 factor at the level
@@ -319,7 +315,6 @@ def _sym2_coeff_rows(f: QExpansion, N: int, bad_betas: tuple[int | None, ...],
     root 1; row beta is beta^v(n) c_n, v the valuation at the level.
     The entries are integers below 2^15 up to 8000 terms, so every
     product is exact while they stay below 2^53.
-    ``prime_cap`` truncates the Euler product for the truncation study.
     """
     spf = smallest_prime_factors(N)
     c = np.zeros(N + 1)
@@ -329,9 +324,6 @@ def _sym2_coeff_rows(f: QExpansion, N: int, bad_betas: tuple[int | None, ...],
         if spf[p] != p:
             continue
         kmax = int(math.log(N) / math.log(p)) + 1
-        if prime_cap is not None and p > prime_cap:
-            powers[p] = [1.0] + [0.0] * kmax
-            continue
         if p == f.level:
             powers[p] = [1.0] * (kmax + 1)
             continue
@@ -354,12 +346,6 @@ def _sym2_coeff_rows(f: QExpansion, N: int, bad_betas: tuple[int | None, ...],
         v[q::q] += 1
         q *= f.level
     return np.array([c * np.power(float(beta or 0), v) for beta in bad_betas])
-
-
-def _sym2_dirichlet_coeffs(f: QExpansion, N: int, bad_beta: int | None,
-                           prime_cap: int | None = None) -> np.ndarray:
-    """The ``_sym2_coeff_rows`` row of a single bad factor."""
-    return _sym2_coeff_rows(f, N, (bad_beta,), prime_cap)[0]
 
 
 def _gamma_completed(s):
@@ -475,7 +461,7 @@ def _score_hypotheses(f: QExpansion, s: float,
 
 
 def sym2_L_value(f: QExpansion, s: float = 2.0, tol: float = 1e-6,
-                 n_terms: int = 8000) -> Sym2Result:
+                 n_terms: int = _N_TERMS) -> Sym2Result:
     """L(s, Sym^2 f) with conductor / bad-factor / sign fixed by self-consistency.
 
     Every hypothesis in {11, 121} x {trivial, root +-1, +-1/11} x {+-1}
@@ -504,14 +490,14 @@ def sym2_L_value(f: QExpansion, s: float = 2.0, tol: float = 1e-6,
 
 @lru_cache(maxsize=1)
 def level11_sym2() -> Sym2Result:
-    """L(2, Sym^2 f) at the default tolerance and 8000 terms, once per process."""
-    return sym2_L_value(eta_product_qexp(8000), 2.0, tol=1e-6, n_terms=8000)
+    """L(2, Sym^2 f) at the default tolerance and truncation, once per process."""
+    return sym2_L_value(eta_product_qexp(_N_TERMS))
 
 
 def dirichlet_direct(f: QExpansion, s: float, n_terms: int,
                      bad_beta: int | None) -> float:
     """Plain Dirichlet-series partial sum, usable deep in the convergence region."""
-    c = _sym2_dirichlet_coeffs(f, n_terms, bad_beta)
+    c = _sym2_coeff_rows(f, n_terms, (bad_beta,))[0]
     n = np.arange(1, len(c), dtype=float)
     return float(np.sum(c[1:] * n ** (-s)))
 
@@ -519,13 +505,14 @@ def dirichlet_direct(f: QExpansion, s: float, n_terms: int,
 # ---------------------------------------------------------------------------
 # the rationality check
 
+_MAX_DEN, _QUALITY = 10_000, 1e-2
 
-def reconstruct_rational(x: float, tol: float, max_den: int = 10_000,
-                         quality: float = 1e-2) -> Fraction | None:
+
+def reconstruct_rational(x: float, tol: float) -> Fraction | None:
     """First continued-fraction convergent within tol, if convincingly rational.
 
-    A convergent p/q is accepted only if |x - p/q| <= tol, q <= max_den,
-    and q^2 |x - p/q| < quality: the last gate rejects the chance-level
+    A convergent p/q is accepted only if |x - p/q| <= tol, q <= _MAX_DEN,
+    and q^2 |x - p/q| < _QUALITY: the last gate rejects the chance-level
     approximations every real number has.
     """
     if not math.isfinite(x):
@@ -536,11 +523,11 @@ def reconstruct_rational(x: float, tol: float, max_den: int = 10_000,
         a = math.floor(val)
         p0, p1 = p1, a * p1 + p0
         q0, q1 = q1, a * q1 + q0
-        if q1 > max_den:
+        if q1 > _MAX_DEN:
             return None
         err = abs(x - p1 / q1)
         if err <= tol:
-            if q1 * q1 * err < quality:
+            if q1 * q1 * err < _QUALITY:
                 return Fraction(p1, q1)
             return None
         frac = val - a

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .lengthspec import LengthSpectrum
+from .specfun import DomainError
 
 __all__ = [
     "LocalFactorEval",
@@ -35,7 +36,7 @@ __all__ = [
 _S_MIN_GAP = 1e-6
 
 
-class ConvergenceRegionError(ValueError):
+class ConvergenceRegionError(DomainError):
     """Euler product requested outside the certified region s > 1."""
 
 

@@ -202,7 +202,7 @@ def check_coefficient_oracles() -> CheckResult:
 def check_hida_rationality() -> CheckResult:
     from . import modforms
     sym = modforms.level11_sym2()
-    pet = modforms.petersson_norm(modforms.eta_product_qexp(8000), tol=1e-8)
+    pet = modforms.petersson_norm(modforms.eta_product_qexp(modforms._N_TERMS), tol=1e-8)
     h = modforms.hida_ratio(sym, pet)
     # negative control perturbs the Petersson factor itself; rescaling the
     # ratio by a rational like 1001/1000 would keep it rational

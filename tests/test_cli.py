@@ -132,6 +132,40 @@ class TestMisc:
         assert payload["pass_fail"]["taut_relations"] is True
 
 
+class TestDomainErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["specfun", "check", "--tol", "0"], "abs_tol must be positive"),
+        (["specfun", "check", "--tol", "-1"], "abs_tol must be positive"),
+        (["specfun", "check", "--tol", "1e-20"], "--tol 1e-20: zeta'(-1) routes disagree"),
+        (["selberg", "--s", "1.0", "--max-trace", "20"], "need s > 1"),
+        (["degenerate", "--g", "0", "--n", "1", "--t", "2"], "unstable base type"),
+        (["degenerate", "--g", "0", "--n", "20", "--t", "2"], "need 0 < |t| < 1"),
+        (["degenerate", "--g", "0", "--n", "20", "--t", "1e-4"], "model capped at n <= 16"),
+        (["lvalue", "--coeffs-out", "{tmp}/coeffs.csv", "--coeffs-n", "0"],
+         "--coeffs-n 0: need at least one coefficient"),
+    ], ids=["specfun-tol-0", "specfun-tol-negative", "specfun-tol-unreachable",
+            "selberg-s-1", "degenerate-unstable", "degenerate-t-2", "degenerate-n-20",
+            "lvalue-coeffs-n-0"])
+    def test_is_a_usage_error(self, argv, message, tmp_path, capsys):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage" in err.lower() and message in err and "Traceback" not in err
+        assert not (tmp_path / "coeffs.csv").exists()
+
+    def test_bare_value_errors_propagate(self, monkeypatch):
+        from zal import degeneration
+
+        def broken(*args, **kwargs):
+            raise ValueError("matrix does not look like a star-graph operator")
+
+        monkeypatch.setattr(degeneration, "degeneration_consistency", broken)
+        with pytest.raises(ValueError, match="star-graph operator"):
+            main(["degenerate", "--g", "1", "--n", "2", "--t", "1e-4"])
+
+
 class TestLvalue:
     def test_tolerance_below_every_hypothesis_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

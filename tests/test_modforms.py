@@ -50,7 +50,32 @@ class TestEtaProduct:
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
-            mf.QExpansion(level=11, weight=2, coeffs=(2, 1))
+            mf.QExpansion(level=11, coeffs=(2, 1))
+
+    def test_every_coefficient_matches_dense_product(self):
+        assert mf.eta_product_qexp(2000).coeffs == _dense_eta_product(2000, {1: 2, 11: 2})
+
+    def test_int64_guard(self, monkeypatch):
+        # eta(z)^40: exact at q^100, where coefficients reach 5.5e16; by q^2000
+        # the guard's bound max|series| * len(terms) passes 2^63
+        monkeypatch.setattr(mf, "_ETA_EXPONENTS", {1: 40})
+        mf.eta_product_qexp.cache_clear()
+        try:
+            assert mf.eta_product_qexp(100).coeffs == _dense_eta_product(100, {1: 40})
+            with pytest.raises(OverflowError):
+                mf.eta_product_qexp(2000)
+        finally:
+            mf.eta_product_qexp.cache_clear()
+
+
+def _dense_eta_product(N, exponents):
+    """Reference: prod_d prod_{k < N} (1 - q^{dk})^{e_d} up to q^{N-1}, in Python ints."""
+    c = [1] + [0] * (N - 1)
+    for d, e in exponents.items():
+        for k in range(d, N, d):
+            for _ in range(e):
+                c = c[:k] + [c[n] - c[n - k] for n in range(k, N)]
+    return tuple(c)
 
 
 class TestPointCounting:
@@ -153,7 +178,7 @@ class TestPetersson:
         assert pet.al_sign == -1
 
     def test_wrong_level_rejected(self):
-        fake = mf.QExpansion(level=7, weight=2, coeffs=(1, -1))
+        fake = mf.QExpansion(level=7, coeffs=(1, -1))
         with pytest.raises(ValueError):
             mf.petersson_norm(fake)
 
@@ -203,25 +228,22 @@ class TestSym2LValue:
         assert [r[0] for r in scored] == sorted(r[0] for r in scored)
         assert 100 * scored[0][0] <= scored[1][0]
 
-    @pytest.mark.parametrize("prime_cap", [None, 7, 3000])
-    def test_coeff_rows_match_per_beta_builder(self, prime_cap):
-        from zal.modforms import _BAD_CANDIDATES, _sym2_coeff_rows, _sym2_dirichlet_coeffs
+    def test_coeff_rows_match_per_beta_builder(self):
+        from zal.modforms import _BAD_CANDIDATES, _sym2_coeff_rows
         N = 8000
         f = mf.eta_product_qexp(N)
-        rows = _sym2_coeff_rows(f, N, _BAD_CANDIDATES, prime_cap)
+        rows = _sym2_coeff_rows(f, N, _BAD_CANDIDATES)
         for row, beta in zip(rows, _BAD_CANDIDATES):
-            want = _per_beta_coeffs(f, N, beta, prime_cap)
+            want = _per_beta_coeffs(f, N, beta)
             assert np.array_equal(row[1:], want[1:]), beta
-            assert np.array_equal(_sym2_dirichlet_coeffs(f, N, beta, prime_cap), row)
 
     @pytest.mark.parametrize("chunk", [4096, 128])  # one block; four, the last ragged
     def test_batched_moments_match_plain_sums(self, chunk, monkeypatch):
         from zal.modforms import (_BAD_CANDIDATES, _contour, _dirichlet_moments,
-                                  _sym2_dirichlet_coeffs)
+                                  _sym2_coeff_rows)
         monkeypatch.setattr(mf, "_CHUNK", chunk)
         N = 500
-        f = mf.eta_product_qexp(N)
-        cs = np.array([_sym2_dirichlet_coeffs(f, N, beta) for beta in _BAD_CANDIDATES])
+        cs = _sym2_coeff_rows(mf.eta_product_qexp(N), N, _BAD_CANDIDATES)
         s0s = (2.0, 1.0)
         got = _dirichlet_moments(cs, s0s)
         z, _ = _contour()
@@ -244,9 +266,9 @@ class TestSym2LValue:
         # deep in absolute convergence the smoothed evaluation must meet
         # the plain partial sum; far-from-center points pay a slowly
         # decaying reflected tail, so the comparison uses growing X
-        from zal.modforms import _gamma_completed, _lambda_value, _sym2_dirichlet_coeffs
+        from zal.modforms import _gamma_completed, _lambda_value, _sym2_coeff_rows
         f = mf.eta_product_qexp(8000)
-        c = _sym2_dirichlet_coeffs(f, 8000, sym.bad_beta)
+        c = _sym2_coeff_rows(f, 8000, (sym.bad_beta,))[0]
         direct = mf.dirichlet_direct(f, 4.0, 8000, sym.bad_beta)
         gam = (sym.conductor ** 2.0
                * _gamma_completed(np.array([4.0 + 0j]))[0]).real
@@ -257,17 +279,8 @@ class TestSym2LValue:
         assert rels[0] > rels[1] > rels[2] or rels[2] < 1e-5
         assert rels[1] < 1e-4
 
-    def test_truncation_study(self, sym):
-        from zal.modforms import _lambda_value, _sym2_dirichlet_coeffs
-        f = mf.eta_product_qexp(20000)
-        full = _sym2_dirichlet_coeffs(f, 20000, sym.bad_beta)
-        capped = _sym2_dirichlet_coeffs(f, 20000, sym.bad_beta, prime_cap=10_000)
-        l_full = _lambda_value(full, 2.0, sym.conductor, sym.sign, X=1.0)
-        l_capped = _lambda_value(capped, 2.0, sym.conductor, sym.sign, X=1.0)
-        assert abs(l_full - l_capped) < 1e-6 * abs(l_full)
 
-
-def _per_beta_coeffs(f, N, bad_beta, prime_cap=None):
+def _per_beta_coeffs(f, N, bad_beta):
     """Reference: the multiplicative fill run separately for one bad factor."""
     spf = np.zeros(N + 1, dtype=np.int64)
     for p in range(2, N + 1):
@@ -280,9 +293,6 @@ def _per_beta_coeffs(f, N, bad_beta, prime_cap=None):
         if spf[p] != p:
             continue
         kmax = int(math.log(N) / math.log(p)) + 1
-        if prime_cap is not None and p > prime_cap:
-            powers[p] = [1.0] + [0.0] * kmax
-            continue
         if p == f.level:
             beta = 0 if bad_beta is None else bad_beta
             powers[p] = [float(beta) ** k for k in range(kmax + 1)]
@@ -313,7 +323,7 @@ class TestRationalReconstruction:
 
     def test_denominator_bound(self):
         x = 12345 / 99991  # denominator just below 1e5
-        assert mf.reconstruct_rational(x, 1e-12, max_den=10_000) is None
+        assert mf.reconstruct_rational(x, 1e-12) is None
 
     @settings(max_examples=40)
     @given(st.integers(min_value=1, max_value=400),
