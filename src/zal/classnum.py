@@ -11,13 +11,15 @@ acosh(t/2), so
     h acosh(t/2) = sqrt(D) L(1, chi_D) f prod_{p | f} (1 - chi_D(p)/p),
 
 f = F/u (Cohen, GTM 138, 5.6; Sarnak, J. Number Theory 15, 1982).  The
-L-value comes from the erfc/E1 series with about 3.3 sqrt(D) terms and
-a bound on the series tail, the special-function error and the
-summation error.  A count is rounded only when its distance to the
-nearest integer plus the bound is below 1/2; otherwise that trace is
-counted on the reduction cycles (``oracles._cycle_counts``), and
-``CLASS_COUNTS.fallbacks`` counts such traces.  The counts are kept in
-one table per process, filled up to the largest trace asked for.
+L-value comes from the erfc/E1 series and a bound on the series tail,
+the special-function error and the summation error.  Each D's series is
+summed only as far as its roundings need: to a bound of acosh(t/2)/(8g)
+over the (t, g) that read it, g = f prod (1 - chi_D(p)/p), so every count
+carries an error of at most 1/8.  A count is rounded only when its
+distance to the nearest integer plus the bound is below 1/2; otherwise
+that trace is counted on the reduction cycles (``oracles._cycle_counts``),
+and ``CLASS_COUNTS.fallbacks`` counts such traces.  The counts are kept
+in one table per process, filled up to the largest trace asked for.
 
 ``lengthspec`` imports this module only when it counts a spectrum, so
 commands that never do load no numpy or scipy through it.
@@ -35,8 +37,6 @@ from scipy.special import erfc, exp1
 
 from .oracles import _cycle_counts
 
-# series terms per sqrt(D): the tail bound is then below 1e-17 sqrt(D)
-_TERMS_PER_ROOT = 3.3
 # relative error of one series term: scipy's erfc and exp1 (cephes reports a
 # 5.7e-14 peak for erfc) plus the rounding of their arguments, which adds
 # about 2 x^2 eps where the terms matter (x < 6); 1e-12 leaves a margin
@@ -131,21 +131,42 @@ def _characters(D: np.ndarray, n: int, spf: np.ndarray,
     return chi
 
 
-def _l_series(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(D) L(1, chi_D) and a bound on its error, for ascending
-    fundamental discriminants D > 1.
+def _tail(D: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """Bound on the series tail after N terms (see ``_l_series``)."""
+    y = np.pi * (N + 1) ** 2 / D
+    return 2.0 / y * np.exp(-y) / -np.expm1(-np.pi * (2 * N + 3) / D)
+
+
+def _terms(D: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """The least N >= 1 whose tail bound is at most ``tail``, per row: the
+    bound falls with N, so double N until it holds, then bisect."""
+    lo, hi = np.zeros_like(D), np.ones_like(D)
+    while (short := _tail(D, hi) > tail).any():
+        lo, hi = np.where(short, hi, lo), np.where(short, 2 * hi, hi)
+    while (gap := hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        ok = _tail(D, mid) <= tail
+        lo, hi = np.where(gap & ~ok, mid, lo), np.where(gap & ok, mid, hi)
+    return hi
+
+
+def _l_series(D: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(D) L(1, chi_D) and a bound on its error, for fundamental
+    discriminants D > 1, each summed to about its ``target`` error.
 
     sqrt(D) L(1, chi_D) = sum_n chi_D(n) a_n with a_n = sqrt(D)/n
     erfc(n sqrt(pi/D)) + E1(pi n^2/D) (Cohen, GTM 138, 5.6.9; chi_D is even
     as D > 0).  From erfc(x) <= e^-x^2/(x sqrt pi) and E1(y) <= e^-y/y,
     a_n <= 2D/(pi n^2) e^(-pi n^2/D), so the tail after N terms is at most
-    2D/(pi (N+1)^2) e^(-pi (N+1)^2/D) / (1 - e^(-pi (2N+3)/D)).  The bound
-    adds that tail to the term and summation errors,
-    (_TERM_REL_ERR + N eps/(1 - N eps)) sum |a_n|.  Rows are evaluated in
-    blocks of about _BLOCK_ENTRIES terms.
+    2D/(pi (N+1)^2) e^(-pi (N+1)^2/D) / (1 - e^(-pi (2N+3)/D)).  Each row
+    sums the least N whose tail bound is at most target/2; the other half
+    is left to the term and summation errors,
+    (_TERM_REL_ERR + N eps/(1 - N eps)) sum |a_n|, which the bound adds to
+    the tail.  Rows are evaluated in blocks of about _BLOCK_ENTRIES terms,
+    each block to its largest N.
     """
-    n_terms = np.ceil(_TERMS_PER_ROOT * np.sqrt(D)).astype(np.int64)
-    spf = smallest_prime_factors(int(n_terms[-1]))
+    n_terms = _terms(D, target / 2)
+    spf = smallest_prime_factors(int(n_terms.max()))
     omega = np.zeros(len(spf), dtype=np.int64)
     m = np.arange(len(spf))
     while (live := m > 1).any():
@@ -155,10 +176,10 @@ def _l_series(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     value, bound = np.empty(len(D)), np.empty(len(D))
     i = 0
     while i < len(D):
-        j = i + 1
-        while j < len(D) and (j + 1 - i) * n_terms[j] <= _BLOCK_ENTRIES:
+        j, N = i + 1, int(n_terms[i])
+        while j < len(D) and (j + 1 - i) * max(N, n_terms[j]) <= _BLOCK_ENTRIES:
+            N = max(N, int(n_terms[j]))
             j += 1
-        N = int(n_terms[j - 1])
         d = D[i:j].astype(float)
         n = np.arange(1, N + 1, dtype=float)
         x = n * np.sqrt(np.pi / d)[:, None]
@@ -167,10 +188,8 @@ def _l_series(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a /= n
         x *= x
         a += exp1(x, out=x)
-        y = np.pi * (N + 1) ** 2 / d
-        tail = 2.0 / y * np.exp(-y) / -np.expm1(-np.pi * (2 * N + 3) / d)
         gamma = N * _EPS / (1.0 - N * _EPS)
-        bound[i:j] = tail + (_TERM_REL_ERR + gamma) * a.sum(axis=1)
+        bound[i:j] = _tail(d, N) + (_TERM_REL_ERR + gamma) * a.sum(axis=1)
         chi = _characters(D[i:j], N, spf, layers)[:, 1:]
         value[i:j] = (np.multiply(chi, a, out=chi)).sum(axis=1)
         i = j
@@ -183,12 +202,14 @@ class ClassCounts:
 
     Only the band above the traces already counted is computed.  A trace
     whose rounding the error bound cannot certify is counted on the
-    reduction cycles instead and adds one to ``fallbacks``.
+    reduction cycles instead and adds one to ``fallbacks``; ``max_err`` is
+    the largest certified error of a rounded count.
     """
 
     def __init__(self) -> None:
         self.rows: list[tuple[tuple[int, int], ...]] = [(), (), ()]
         self.fallbacks = 0
+        self.max_err = 0.0
 
     def upto(self, T: int) -> list[tuple[tuple[int, int], ...]]:
         if T >= len(self.rows):
@@ -216,13 +237,20 @@ class ClassCounts:
                         for j in range(k + 1)]
                 pairs = [(u * pu, g * pg) for u, g in pairs for pu, pg in opts]
             contents.append(sorted((u, g) for u, g in pairs if _is_fundamental(t, u, steps)))
-        D = sorted(set(fundamental))
-        value, bound = _l_series(np.array(D, dtype=np.int64))
+        # each D's series is read at h = s g / acosh(t/2): an error of
+        # acosh(t/2)/(8g) in s is 1/8 in h, well inside the 1/2 of the rounding
+        log_units = [math.acosh(t / 2) for t in traces]
+        target: dict[int, float] = {}
+        for log_unit, core, pairs in zip(log_units, fundamental, contents):
+            for _, g in pairs:
+                target[core] = min(target.get(core, math.inf), log_unit / (8 * g))
+        D = sorted(target)
+        value, bound = _l_series(np.array(D, dtype=np.int64), np.array([target[d] for d in D]))
         series = dict(zip(D, zip(value.tolist(), bound.tolist())))
-        for t, core, pairs in zip(traces, fundamental, contents):
+        for t, log_unit, core, pairs in zip(traces, log_units, fundamental, contents):
             s, s_err = series[core]
-            log_unit = math.acosh(t / 2)
             counts: list[tuple[int, int]] | None = []
+            worst = 0.0
             for u, g in pairs:
                 h = s * g / log_unit
                 err = s_err * g / log_unit + 4 * _EPS * abs(h)
@@ -230,11 +258,13 @@ class ClassCounts:
                 if k < 1 or abs(h - k) + err >= 0.5:
                     counts = None
                     break
+                worst = max(worst, err)
                 counts.append((u, k))
             if counts is None:
                 self.fallbacks += 1
                 self.rows.append(_cycle_counts(t))
             else:
+                self.max_err = max(self.max_err, worst)
                 self.rows.append(tuple(counts))
 
 

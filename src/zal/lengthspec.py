@@ -29,8 +29,11 @@ fixed by (t mod N, N | u), u the content of M's fixed-point form: M is
 +-I mod N exactly when N | u, and otherwise conjugate to the companion
 matrix of x^2 - t x + 1 (Fulton-Harris, Representation Theory, 5.2).
 Every spectrum is thus a sum over class counts per (t, u) and one
-orbit-size table per group.  Genus, cusps and elliptic points are read
-off the same coset table.
+orbit-size table per group.  The companion matrix is S T^r, so its
+permutation of the cosets is S's followed by r steps along the cycles of
+T, the cusps.  The walk that builds the coset table records the
+permutations of T and S, so no coset label is acted on per residue.
+Genus, cusps and elliptic points are read off the same table.
 
 Everything here is exact integer arithmetic except the final lengths.
 """
@@ -218,8 +221,9 @@ def _index(spec: GroupSpec) -> int:
 
 
 @cache
-def _coset_table(spec: GroupSpec) -> tuple[list, dict, list[Mat]]:
-    """(labels, label->index, representative matrices), index m entries.
+def _coset_table(spec: GroupSpec) -> tuple[list, dict, list[Mat], tuple[list[int], list[int]]]:
+    """(labels, label->index, representative matrices, the permutations
+    of T and S), index m entries.
 
     Built once per group and shared by every caller, which must not
     mutate it.
@@ -227,7 +231,8 @@ def _coset_table(spec: GroupSpec) -> tuple[list, dict, list[Mat]]:
     The table is the orbit of the identity's label under right
     multiplication by T and S, walked breadth first: each new label
     takes the next index, and its representative is the representative
-    of the label it was reached from times the generator.  T and S
+    of the label it was reached from times the generator; the index each
+    generator takes each label to is its permutation.  T and S
     generate SL2(Z), so the walk reaches every coset; there are finitely
     many labels, so it ends.  Its size is checked against ``_index``,
     which does not use the walk; the invariants are read off the table.
@@ -236,18 +241,20 @@ def _coset_table(spec: GroupSpec) -> tuple[list, dict, list[Mat]]:
     labels: list = [lab0]
     index: dict = {lab0: 0}
     reps: list[Mat] = [M_ID]
+    perms: tuple[list[int], list[int]] = ([], [])
     for i, lab in enumerate(labels):  # labels grows while it is walked
-        for g in _GENS:
+        for g, perm in zip(_GENS, perms):
             nxt = _label_act(spec, lab, g)
             if nxt not in index:
                 index[nxt] = len(labels)
                 labels.append(nxt)
                 reps.append(mat_mul(reps[i], g))
+            perm.append(index[nxt])
     m = _index(spec)
     if len(labels) != m:
         raise ArithmeticError(f"{spec.label()}: coset walk found {len(labels)} "
                               f"cosets, index formula gives {m}")
-    return labels, index, reps
+    return labels, index, reps, perms
 
 
 def _label(spec: GroupSpec, M: Mat):
@@ -282,7 +289,7 @@ def _label_act(spec: GroupSpec, lab, M: Mat):
 
 def coset_permutation(spec: GroupSpec, M: Mat) -> list[int]:
     """Permutation induced by right multiplication by M on the coset labels."""
-    labels, index, _ = _coset_table(spec)
+    labels, index, _, _ = _coset_table(spec)
     return [index[_label_act(spec, lab, M)] for lab in labels]
 
 
@@ -310,11 +317,12 @@ def group_invariants(spec: GroupSpec) -> tuple[int, int, int]:
     The full group is the degree-1 ambient orbifold (g=0, n=1, m=1); it
     is not a stable surface type and is only used as a covering base.
     """
-    m = len(_coset_table(spec)[0])
-    n = sum(1 for _ in _orbits(coset_permutation(spec, _GENS[0])))
+    t_perm, s_perm = _coset_table(spec)[3]
+    m = len(t_perm)
+    n = sum(1 for _ in _orbits(t_perm))
     # nu2, nu3: the cosets fixed by S and by ST, one per elliptic point of order 2, 3
-    nu2, nu3 = (sum(i == j for i, j in enumerate(coset_permutation(spec, M)))
-                for M in (_GENS[1], (0, -1, 1, 1)))
+    nu2 = sum(i == j for i, j in enumerate(s_perm))
+    nu3 = sum(i == t_perm[j] for i, j in enumerate(s_perm))
     num = 12 + m - 3 * nu2 - 4 * nu3 - 6 * n
     if num % 12:
         raise ArithmeticError(f"{spec.label()}: Riemann-Hurwitz gave genus {num}/12")
@@ -327,10 +335,20 @@ def _orbit_sizes(spec: GroupSpec, r: int, scalar: bool) -> tuple[int, ...]:
     trace r mod N that is +-I mod N (``scalar``) or is not.
 
     One stand-in per key: the identity, which acts on the cosets as -I
-    does, or the companion matrix (0, -1, 1, r).
+    does, or the companion matrix (0, -1, 1, r) = S T^r, which maps coset
+    i to S(i) and then r steps along its cycle of T.
     """
-    M = M_ID if scalar else (0, -1, 1, r)
-    return tuple(sorted(k for _, k in _orbits(coset_permutation(spec, M))))
+    t_perm, s_perm = _coset_table(spec)[3]
+    if scalar:
+        return (1,) * len(t_perm)
+    shift = [0] * len(t_perm)  # T^r, one cycle of T at a time
+    for i, k in _orbits(t_perm):
+        cycle = [i]
+        for _ in range(k - 1):
+            cycle.append(t_perm[cycle[-1]])
+        for j, jr in zip(cycle, cycle[r % k:] + cycle[:r % k]):
+            shift[j] = jr
+    return tuple(sorted(k for _, k in _orbits([shift[j] for j in s_perm])))
 
 
 def _spectrum(spec: GroupSpec, max_trace: int) -> LengthSpectrum:

@@ -182,7 +182,10 @@ def _zeta_prime_fe_route(budget: PrecisionBudget) -> float:
     Euler-Maclaurin sum (no cancellation error).
     """
     h = 1e-7
-    sub = PrecisionBudget(abs_tol=min(budget.abs_tol, 1e-13) * h, max_terms=budget.max_terms)
+    sub_tol = min(budget.abs_tol, 1e-13) * h
+    if sub_tol == 0.0:  # abs_tol * h underflows: no cutoff meets it
+        raise BudgetExhaustedError("complex-step tolerance abs_tol * 1e-7 underflows to 0")
+    sub = PrecisionBudget(abs_tol=sub_tol, max_terms=budget.max_terms)
     z, _ = _em_hurwitz(complex(2.0, h), 1.0, 64, sub)
     zeta_prime_2 = z.imag / h
     g = euler_gamma(budget)

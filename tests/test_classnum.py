@@ -28,7 +28,7 @@ class TestClassCounts:
         fund = [D for D in range(5, 2000) if oracles.is_discriminant(D)
                 and not any(D % (f * f) == 0 and oracles.is_discriminant(D // (f * f))
                             for f in range(2, math.isqrt(D) + 1))]
-        value, bound = classnum._l_series(np.array(fund))
+        value, bound = classnum._l_series(np.array(fund), np.full(len(fund), 1e-10))
         for D, v, b in zip(fund, value, bound):
             h = len(oracles.form_cycles([f for f in oracles.reduced_forms(D) if math.gcd(*f) == 1], D))
             T, U = oracles.pell_fundamental(D)
@@ -41,6 +41,20 @@ class TestClassCounts:
         assert table.fallbacks == 0
         for t in range(3, 641):
             assert rows[t] == oracles._cycle_counts(t), t
+
+    def test_counts_to_2000_are_certified_to_an_eighth(self):
+        # each series is summed only as far as its roundings need
+        table = classnum.ClassCounts()
+        table.upto(2000)
+        assert table.fallbacks == 0
+        assert 0 < table.max_err <= 1 / 8
+
+    def test_terms_are_the_least_that_meet_the_tail(self):
+        D = np.array([5, 8, 12, 1997, 200_000, 200_000])
+        tail = np.array([1e-3, 1e-9, 0.5, 1e-2, 1e-2, 1e-12])
+        N = classnum._terms(D, tail)
+        assert (N >= 1).all() and (classnum._tail(D, N) <= tail).all()
+        assert ((N == 1) | (classnum._tail(D, N - 1) > tail)).all()
 
     def test_bands_fill_like_one_pass(self):
         banded = classnum.ClassCounts()

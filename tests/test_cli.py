@@ -137,6 +137,7 @@ class TestDomainErrors:
         (["specfun", "check", "--tol", "0"], "abs_tol must be positive"),
         (["specfun", "check", "--tol", "-1"], "abs_tol must be positive"),
         (["specfun", "check", "--tol", "1e-20"], "--tol 1e-20: zeta'(-1) routes disagree"),
+        (["specfun", "check", "--tol", "5e-324"], "--tol 5e-324: complex-step tolerance"),
         (["selberg", "--s", "1.0", "--max-trace", "20"], "need s > 1"),
         (["degenerate", "--g", "0", "--n", "1", "--t", "2"], "unstable base type"),
         (["degenerate", "--g", "0", "--n", "20", "--t", "2"], "need 0 < |t| < 1"),
@@ -144,6 +145,7 @@ class TestDomainErrors:
         (["lvalue", "--coeffs-out", "{tmp}/coeffs.csv", "--coeffs-n", "0"],
          "--coeffs-n 0: need at least one coefficient"),
     ], ids=["specfun-tol-0", "specfun-tol-negative", "specfun-tol-unreachable",
+            "specfun-tol-underflows",
             "selberg-s-1", "degenerate-unstable", "degenerate-t-2", "degenerate-n-20",
             "lvalue-coeffs-n-0"])
     def test_is_a_usage_error(self, argv, message, tmp_path, capsys):

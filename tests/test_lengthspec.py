@@ -407,7 +407,7 @@ def _ts_words(draw):
 class TestCosetTables:
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_table_size_and_labels(self, spec):
-        labels, index, reps = ls._coset_table(spec)
+        labels, index, reps, _ = ls._coset_table(spec)
         _, _, m = ls.group_invariants(spec)
         assert len(labels) == len(set(labels)) == m
         for lab, rep in zip(labels, reps):
@@ -420,10 +420,21 @@ class TestCosetTables:
 
     def test_label_action_matches_multiplication(self):
         spec = ls.GroupSpec.gamma1(11)
-        labels, _, reps = ls._coset_table(spec)
+        labels, _, reps, _ = ls._coset_table(spec)
         M = oracles.ambient_classes(5)[0]
         for lab, rep in list(zip(labels, reps))[::7]:
             assert ls._label_act(spec, lab, M) == ls._label(spec, ls.mat_mul(rep, M))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
+    def test_walk_records_generator_permutations(self, spec):
+        assert ls._coset_table(spec)[3] == tuple(ls.coset_permutation(spec, g) for g in ls._GENS)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
+    def test_orbit_sizes_compose_s_and_t(self, spec):
+        # S T^r read off the recorded permutations, against acting on every label
+        for r in range(spec.level):
+            perm = ls.coset_permutation(spec, (0, -1, 1, r))
+            assert ls._orbit_sizes(spec, r, False) == tuple(sorted(k for _, k in ls._orbits(perm))), r
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(ALL_SPECS), st.integers(3, 80), st.data())
