@@ -519,7 +519,9 @@ def reconstruct_rational(x: float, tol: float) -> Fraction | None:
         return None
     p0, q0, p1, q1 = 0, 1, 1, 0
     val = x
-    for _ in range(64):
+    # after the first step every partial quotient is >= 1, so q_k >= F_k
+    # (Fibonacci) and the _MAX_DEN gate ends the loop by step 21
+    while True:
         a = math.floor(val)
         p0, p1 = p1, a * p1 + p0
         q0, q1 = q1, a * q1 + q0
@@ -534,7 +536,6 @@ def reconstruct_rational(x: float, tol: float) -> Fraction | None:
         if frac <= 0:
             return None
         val = 1.0 / frac
-    return None
 
 
 @dataclass(frozen=True)

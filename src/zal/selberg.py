@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .lengthspec import LengthSpectrum
-from .specfun import DomainError
+from .specfun import _MAX_TERMS, BudgetExhaustedError, DomainError
 
 __all__ = [
     "LocalFactorEval",
@@ -38,10 +38,6 @@ _S_MIN_GAP = 1e-6
 
 class ConvergenceRegionError(DomainError):
     """Euler product requested outside the certified region s > 1."""
-
-
-class ToleranceError(RuntimeError):
-    """Requested tolerance unreachable within the term cap."""
 
 
 @dataclass(frozen=True)
@@ -66,26 +62,27 @@ class ZetaEval:
         return math.exp(self.log_value)
 
 
-def local_factor(l: float, s: float, tol: float = 1e-14,
-                 max_terms: int = 10_000_000) -> LocalFactorEval:
-    """Z_l(s) with |log value - log Z_l(s)| <= tail_bound <= tol.
+def local_factor(l: float, s: float, tol: float = 1e-14) -> LocalFactorEval:
+    """Z_l(s) with |log value - log Z_l(s)| <= tail_bound <= tol, 0 < tol <= 1.
 
     The tail after K factors is bounded by
-    2 sum_{k>K} e^{-(s+k)l} / (1 - e^{-(s+k)l}), summed geometrically.
+    2 sum_{k>K} e^{-(s+k)l} / (1 - e^{-(s+k)l}), summed geometrically:
+    with q = e^{-l} and x_K = q^{s+K+1} it is 2 x_K / ((1 - x_K)(1 - q)).
+    K = max(1, ceil(log(2 / (tol (1-q))) / l - s)) meets it: then
+    x_K <= q tol (1-q) / 2 < 1 - q, so the bound is below
+    q tol / (1 - x_K) < tol.  A depth above _MAX_TERMS is refused.
     """
-    if not l > 0 or not s > 0:
-        raise ValueError("local factor needs l > 0 and s > 0")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not l > 0 or not 0 < s < math.inf:
+        raise ValueError("local factor needs l > 0 and 0 < s < inf")
+    if not 0 < tol <= 1:
+        raise ValueError("local factor needs 0 < tol <= 1")
     q = math.exp(-l)
-    # find K with bound(K) <= tol
-    K = max(1, int(math.ceil(math.log(2.0 / (tol * (1 - q))) / l - s)))
-    while _tail_bound(l, s, K) > tol:
-        K *= 2
-        if K > max_terms:
-            raise ToleranceError("local factor tolerance unreachable within term cap")
-    if K > max_terms:
-        raise ToleranceError("local factor tolerance unreachable within term cap")
+    width = tol * (1 - q)
+    depth = math.log(2.0 / width) / l - s if width > 0 else math.inf
+    if not depth <= _MAX_TERMS:
+        raise BudgetExhaustedError(
+            f"local factor at l = {l:g}, tol = {tol:g} needs more than {_MAX_TERMS} terms")
+    K = max(1, math.ceil(depth))
     log_val = 0.0
     for k in range(1, K + 1):
         x = math.exp(-(s + k) * l)
@@ -95,9 +92,7 @@ def local_factor(l: float, s: float, tol: float = 1e-14,
 
 
 def _tail_bound(l: float, s: float, K: int) -> float:
-    xK = math.exp(-(s + K + 1) * l)
-    if xK >= 1.0:
-        return math.inf
+    xK = math.exp(-(s + K + 1) * l)  # < e^{-l} < 1: local_factor refuses q = 1
     return 2.0 * xK / ((1.0 - xK) * (1.0 - math.exp(-l)))
 
 
@@ -134,8 +129,8 @@ def selberg_zeta(spectrum: LengthSpectrum, s: float, tol: float = 1e-12) -> Zeta
 
     An empty spectrum is the empty product, log Z = 0.
     """
-    if s <= 1.0 + _S_MIN_GAP:
-        raise ConvergenceRegionError(f"need s > 1 + {_S_MIN_GAP}; got {s}")
+    if not 1.0 + _S_MIN_GAP < s < math.inf:
+        raise ConvergenceRegionError(f"need s > 1 + {_S_MIN_GAP} and finite; got {s}")
     entries = spectrum.entries
     if not entries:
         return ZetaEval(s=s, log_value=0.0, truncation_trace=spectrum.max_trace,

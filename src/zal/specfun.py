@@ -50,19 +50,17 @@ class DomainError(ValueError):
 
 
 class BudgetExhaustedError(RuntimeError):
-    """The a-priori tail bound cannot meet abs_tol within max_terms."""
+    """No truncation within _MAX_TERMS terms has a tail bound that meets
+    the tolerance, or a cross-check between two routes fails."""
 
 
 @dataclass(frozen=True)
 class PrecisionBudget:
     abs_tol: float = 1e-12
-    max_terms: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise DomainError("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
+        if not 0 < self.abs_tol < math.inf:
+            raise DomainError("abs_tol must be positive and finite")
 
 
 DEFAULT_BUDGET = PrecisionBudget()
@@ -89,44 +87,50 @@ _BERNOULLI = [
 _BERN_FLOAT = [float(b) for b in _BERNOULLI]
 
 
+# Work limit on a truncation depth: a tolerance whose depth lies beyond it
+# is refused before any term is summed.
+_MAX_TERMS = 10_000_000
+
+
 def _em_hurwitz(s: complex, a: float, n_start: int, budget: PrecisionBudget,
                 n_corr: int = 8) -> tuple[complex, float]:
     """Euler-Maclaurin sum for zeta(s, a), complex-analytic in s.
 
     Returns (value, remainder_bound).  The remainder bound is the first
     omitted correction term scaled by |s + 2J + 1| / (sigma + 2J + 1),
-    valid for sigma + 2J + 1 > 0.
+    valid for sigma + 2J + 1 > 0.  The cutoff n is n_start doubled until
+    that bound alone meets abs_tol; the sum is then taken once, at n.
     """
     sigma = s.real
     if sigma + 2 * n_corr + 1 <= 0:
         raise BudgetExhaustedError("sigma too negative for the fixed correction depth")
+    # B_2j/(2j)! * s(s+1)...(s+2j-2) for j = 1..J+1; they do not depend on n
+    coeffs = []
+    poch, fact = s, 2.0
+    for j in range(1, n_corr + 2):
+        coeffs.append(_BERN_FLOAT[j - 1] / fact * poch)
+        poch *= (s + 2 * j - 1) * (s + 2 * j)
+        fact *= (2 * j + 1) * (2 * j + 2)
+    omitted = coeffs.pop()  # j = J + 1
     n = n_start
     while True:
-        if n > budget.max_terms:
-            raise BudgetExhaustedError("Euler-Maclaurin cutoff exceeded max_terms")
-        head = 0.0 + 0.0j
-        for k in range(n):
-            head += (k + a) ** (-s)
         na = n + a
-        tail = na ** (1 - s) / (s - 1) + 0.5 * na ** (-s)
-        # correction terms B_2j/(2j)! * s(s+1)...(s+2j-2) * (n+a)^(-s-2j+1)
-        poch = s  # running product s(s+1)...(s+2j-2)
-        fact = 2.0  # (2j)!
-        corr = 0.0 + 0.0j
-        term_abs = 0.0
-        for j in range(1, n_corr + 2):
-            term = _BERN_FLOAT[j - 1] / fact * poch * na ** (-s - 2 * j + 1)
-            term_abs = abs(term)
-            if j <= n_corr:
-                corr += term
-            else:
-                break
-            poch *= (s + 2 * j - 1) * (s + 2 * j)
-            fact *= (2 * j + 1) * (2 * j + 2)
-        bound = term_abs * abs(s + 2 * n_corr + 1) / (sigma + 2 * n_corr + 1)
+        bound = (abs(omitted * na ** (-s - 2 * (n_corr + 1) + 1))
+                 * abs(s + 2 * n_corr + 1) / (sigma + 2 * n_corr + 1))
         if bound <= budget.abs_tol:
-            return head + tail + corr, bound
+            break
         n *= 2
+        if n > _MAX_TERMS:
+            raise BudgetExhaustedError(
+                f"Euler-Maclaurin cutoff for abs_tol {budget.abs_tol:g} exceeds {_MAX_TERMS} terms")
+    head = 0.0 + 0.0j
+    for k in range(n):
+        head += (k + a) ** (-s)
+    tail = na ** (1 - s) / (s - 1) + 0.5 * na ** (-s)
+    corr = 0.0 + 0.0j
+    for j, c in enumerate(coeffs, 1):
+        corr += c * na ** (-s - 2 * j + 1)
+    return head + tail + corr, bound
 
 
 def riemann_zeta(s: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
@@ -141,7 +145,7 @@ def riemann_zeta(s: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
     if s == round(s) and int(s) % 2 == 0:
         return -0.5 if s == 0 else 0.0  # zeta(0) and the trivial zeros, exact
     pref = 2.0 ** s * math.pi ** (s - 1) * math.sin(math.pi * s / 2) * math.gamma(1 - s)
-    sub = PrecisionBudget(abs_tol=budget.abs_tol / (2 * abs(pref) + 1), max_terms=budget.max_terms)
+    sub = PrecisionBudget(abs_tol=budget.abs_tol / (2 * abs(pref) + 1))
     return pref * _em_hurwitz(complex(1 - s), 1.0, 8, sub)[0].real
 
 
@@ -185,7 +189,7 @@ def _zeta_prime_fe_route(budget: PrecisionBudget) -> float:
     sub_tol = min(budget.abs_tol, 1e-13) * h
     if sub_tol == 0.0:  # abs_tol * h underflows: no cutoff meets it
         raise BudgetExhaustedError("complex-step tolerance abs_tol * 1e-7 underflows to 0")
-    sub = PrecisionBudget(abs_tol=sub_tol, max_terms=budget.max_terms)
+    sub = PrecisionBudget(abs_tol=sub_tol)
     z, _ = _em_hurwitz(complex(2.0, h), 1.0, 64, sub)
     zeta_prime_2 = z.imag / h
     g = euler_gamma(budget)
@@ -237,23 +241,20 @@ def log_barnes_gamma2_half(budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
 
     evaluated at z = -1/2; in the normalization fixed by this package
     Gamma2(1/2) = 1/G(1/2).  The tail is bounded by the geometric series
-    zeta(2) 2^(-M) / (M+1).
+    zeta(2) 2^(-M) / (M+1), which the loop runs down to abs_tol / 4:
+    euler_gamma refuses every abs_tol below 4.47e-24, so M <= 75.
     """
     z = -0.5
     g = euler_gamma(budget)
-    sub = PrecisionBudget(abs_tol=budget.abs_tol / 8, max_terms=budget.max_terms)
+    sub = PrecisionBudget(abs_tol=budget.abs_tol / 8)
     total = 0.5 * z * math.log(2 * math.pi) - z * (z + 1) / 2 - g * z * z / 2
     m = 3
     zpow = z ** 3
     while True:
-        zeta_m = riemann_zeta(float(m - 1), sub) if m - 1 >= 2 else 0.0
-        term = (-1) ** (m - 1) * zeta_m * zpow / m
-        total += term
+        total += (-1) ** (m - 1) * riemann_zeta(float(m - 1), sub) * zpow / m
         tail = 1.6449340668482264 * 2.0 ** (-m) / (m + 1)
         if tail <= budget.abs_tol / 4:
             break
-        if m > 200:
-            raise BudgetExhaustedError("Barnes G series did not meet abs_tol")
         m += 1
         zpow *= z
     return -total  # log Gamma2(1/2) = -log G(1/2)

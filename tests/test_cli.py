@@ -117,6 +117,11 @@ class TestMisc:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_specfun_check_passes_at_a_loose_tolerance(self, capsys):
+        # the identity residual, about 6e-8 here, is held to 3 * tol
+        assert main(["specfun", "check", "--tol", "1e-6"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_selberg_inprocess(self, capsys):
         assert main(["selberg", "--s", "2.0", "--max-trace", "30", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -138,15 +143,20 @@ class TestDomainErrors:
         (["specfun", "check", "--tol", "-1"], "abs_tol must be positive"),
         (["specfun", "check", "--tol", "1e-20"], "--tol 1e-20: zeta'(-1) routes disagree"),
         (["specfun", "check", "--tol", "5e-324"], "--tol 5e-324: complex-step tolerance"),
+        (["specfun", "check", "--tol", "1e-300"], "--tol 1e-300: Euler-Maclaurin cutoff"),
+        (["specfun", "check", "--tol", "inf"], "abs_tol must be positive and finite"),
         (["selberg", "--s", "1.0", "--max-trace", "20"], "need s > 1"),
+        (["selberg", "--s", "nan", "--max-trace", "20"], "need s > 1"),
+        (["selberg", "--s", "inf", "--max-trace", "20"], "need s > 1"),
         (["degenerate", "--g", "0", "--n", "1", "--t", "2"], "unstable base type"),
         (["degenerate", "--g", "0", "--n", "20", "--t", "2"], "need 0 < |t| < 1"),
         (["degenerate", "--g", "0", "--n", "20", "--t", "1e-4"], "model capped at n <= 16"),
         (["lvalue", "--coeffs-out", "{tmp}/coeffs.csv", "--coeffs-n", "0"],
          "--coeffs-n 0: need at least one coefficient"),
     ], ids=["specfun-tol-0", "specfun-tol-negative", "specfun-tol-unreachable",
-            "specfun-tol-underflows",
-            "selberg-s-1", "degenerate-unstable", "degenerate-t-2", "degenerate-n-20",
+            "specfun-tol-underflows", "specfun-tol-beyond-work-limit", "specfun-tol-inf",
+            "selberg-s-1", "selberg-s-nan", "selberg-s-inf",
+            "degenerate-unstable", "degenerate-t-2", "degenerate-n-20",
             "lvalue-coeffs-n-0"])
     def test_is_a_usage_error(self, argv, message, tmp_path, capsys):
         argv = [a.format(tmp=tmp_path) for a in argv]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from zal import selberg
 from zal.lengthspec import GeodesicClass, GroupSpec, LengthSpectrum, modular_spectrum
+from zal.specfun import BudgetExhaustedError
 
 EMPTY = LengthSpectrum(GroupSpec.full(), 2, ())
 
@@ -47,8 +48,26 @@ class TestLocalFactor:
             selberg.local_factor(0.0, 1.0)
         with pytest.raises(ValueError):
             selberg.local_factor(1.0, 0.0)
-        with pytest.raises(selberg.ToleranceError):
-            selberg.local_factor(1e-4, 1.0, 1e-10, max_terms=10)
+        with pytest.raises(ValueError):
+            selberg.local_factor(1.0, math.inf)
+        for tol in (0.0, -1e-12, 1.5, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                selberg.local_factor(1.0, 1.0, tol)
+
+    def test_depth_beyond_the_work_limit_is_refused(self):
+        # K = log(2 / (tol (1 - q))) / l - s is about 4e9; at l = 1e-17,
+        # q = e^{-l} rounds to 1 and no K meets the bound
+        for l in (1e-8, 1e-17):
+            with pytest.raises(BudgetExhaustedError):
+                selberg.local_factor(l, 1.0, 1e-10)
+
+    # below about 1e-307, 2 / (tol (1 - q)) overflows and the factor is refused
+    @settings(max_examples=100)
+    @given(st.floats(min_value=0.05, max_value=40.0),
+           st.floats(min_value=1e-3, max_value=10.0),
+           st.floats(min_value=1e-300, max_value=1.0))
+    def test_solved_depth_meets_the_tolerance(self, l, s, tol):
+        assert selberg.local_factor(l, s, tol).tail_bound <= tol
 
 
 class TestSmallLengthAsymptotic:
@@ -81,6 +100,9 @@ class TestSelbergZeta:
     def test_s_near_one_rejected(self):
         with pytest.raises(selberg.ConvergenceRegionError):
             selberg.selberg_zeta(modular_spectrum(10), 1.0000001)
+        for s in (math.inf, math.nan):
+            with pytest.raises(selberg.ConvergenceRegionError):
+                selberg.selberg_zeta(EMPTY, s)
 
     def test_self_convergence_under_cutoff_growth(self):
         z40 = selberg.selberg_zeta(modular_spectrum(40), 2.0)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -49,9 +51,54 @@ class TestRiemannZeta:
             sf.riemann_zeta(0.5, BUDGET)
 
     def test_budget_exhaustion(self):
-        tiny = sf.PrecisionBudget(abs_tol=1e-13, max_terms=4)
-        with pytest.raises(sf.BudgetExhaustedError):
-            sf.riemann_zeta(1.5, tiny)
+        # the remainder falls like n^-(s+17): 1e-300 needs n near 1e16, and
+        # the cutoff is refused before any term is summed
+        for s in (1.5, 2.0):
+            start = time.perf_counter()
+            with pytest.raises(sf.BudgetExhaustedError):
+                sf.riemann_zeta(s, sf.PrecisionBudget(abs_tol=1e-300))
+            assert time.perf_counter() - start < 0.5
+
+
+def doubling_em_hurwitz(s, a, n_start, abs_tol, max_terms=10_000_000, n_corr=8):
+    """The earlier Euler-Maclaurin loop, kept as a reference: it re-sums
+    the head and every correction at each doubling of the cutoff."""
+    sigma = s.real
+    n = n_start
+    while True:
+        if n > max_terms:
+            raise sf.BudgetExhaustedError("Euler-Maclaurin cutoff exceeded max_terms")
+        head = 0.0 + 0.0j
+        for k in range(n):
+            head += (k + a) ** (-s)
+        na = n + a
+        tail = na ** (1 - s) / (s - 1) + 0.5 * na ** (-s)
+        poch = s
+        fact = 2.0
+        corr = 0.0 + 0.0j
+        term_abs = 0.0
+        for j in range(1, n_corr + 2):
+            term = sf._BERN_FLOAT[j - 1] / fact * poch * na ** (-s - 2 * j + 1)
+            term_abs = abs(term)
+            if j <= n_corr:
+                corr += term
+            else:
+                break
+            poch *= (s + 2 * j - 1) * (s + 2 * j)
+            fact *= (2 * j + 1) * (2 * j + 2)
+        bound = term_abs * abs(s + 2 * n_corr + 1) / (sigma + 2 * n_corr + 1)
+        if bound <= abs_tol:
+            return head + tail + corr, bound
+        n *= 2
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 2 + 1e-7j, -1.0, 1.3, 7.25])
+def test_em_hurwitz_matches_the_doubling_loop(s):
+    s = complex(s)
+    for a, n_start, abs_tol in itertools.product(
+            (1.0, 0.5, 1.0 / 3.0), (8, 64), (1e-6, 1e-12, 1e-14, 1e-20)):
+        got = sf._em_hurwitz(s, a, n_start, sf.PrecisionBudget(abs_tol=abs_tol))
+        assert got == doubling_em_hurwitz(s, a, n_start, abs_tol), (a, n_start, abs_tol)
 
 
 class TestHurwitz:
@@ -128,4 +175,6 @@ def test_budget_validation():
     with pytest.raises(sf.DomainError):
         sf.PrecisionBudget(abs_tol=0.0)
     with pytest.raises(sf.DomainError):
-        sf.PrecisionBudget(abs_tol=1e-12, max_terms=0)
+        sf.PrecisionBudget(abs_tol=math.inf)
+    with pytest.raises(sf.DomainError):
+        sf.PrecisionBudget(abs_tol=math.nan)
