@@ -367,9 +367,17 @@ _CHUNK = 4096  # n rows per n^{-z} block: bounds the block at 4096 x 449
 
 
 def _contour() -> tuple[np.ndarray, np.ndarray]:
-    """Contour nodes z_j and their trapezoid weights."""
-    tau = np.linspace(-_TAU_MAX, _TAU_MAX, _N_TAU)
-    w = np.full(_N_TAU, tau[1] - tau[0])
+    """Contour nodes z_j and their trapezoid weights.
+
+    tau is built as the mirror of its tau >= 0 half, so z_{h-j} =
+    conj(z_{h+j}) exactly with h = _N_TAU // 2; on the dyadic step 2^-4
+    the nodes equal ``linspace(-_TAU_MAX, _TAU_MAX, _N_TAU)``.
+    """
+    h = _N_TAU // 2
+    step = _TAU_MAX / h
+    half = np.arange(h + 1) * step
+    tau = np.concatenate((-half[:0:-1], half))
+    w = np.full(_N_TAU, step)
     w[0] *= 0.5
     w[-1] *= 0.5
     return _C_LINE + 1j * tau, w
@@ -380,16 +388,23 @@ def _dirichlet_moments(cs: np.ndarray, s0s: tuple[float, ...]) -> np.ndarray:
 
     ``cs`` holds one coefficient vector c_0 .. c_N per row (c_0 unused).
     Each chunk builds its n^{-z} block once and one stacked product of
-    all (s0, row) pairs consumes it.
+    all (s0, row) pairs consumes it.  The contour is mirrored, so the
+    block is exponentiated on its tau >= 0 columns only and the others
+    are their conjugates: -log n * conj(z) = conj(-log n * z) and
+    exp(conj w) = conj(exp w) hold to the bit, so the block is the full
+    exp's.
     """
     z, _ = _contour()
+    h = len(z) // 2  # z[h] is real, z[h - j] = conj(z[h + j])
     cs = np.atleast_2d(cs)
     s0 = np.asarray(s0s, dtype=float)[:, None, None]
     out = np.zeros((len(s0s) * len(cs), len(z)), dtype=complex)
     for i0 in range(1, cs.shape[1], _CHUNK):
         n = np.arange(i0, min(i0 + _CHUNK, cs.shape[1]), dtype=float)
-        block = np.outer(-np.log(n), z)
-        np.exp(block, out=block)  # n^{-z}
+        block = np.empty((len(n), len(z)), dtype=complex)
+        upper = np.outer(-np.log(n), z[h:], out=block[:, h:])
+        np.exp(upper, out=upper)  # n^{-z}, tau >= 0
+        np.conjugate(upper[:, :0:-1], out=block[:, :h])
         rows = cs[None, :, i0:i0 + len(n)] * n ** -s0
         out += rows.reshape(len(out), len(n)) @ block
     return out.reshape(len(s0s), len(cs), len(z))

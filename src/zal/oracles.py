@@ -25,7 +25,9 @@ Three oracle layers, none of which trusts the production counting route:
 2. an exact conjugacy decision inside a congruence subgroup Gamma, read
    from one normal form per element (``_axis``): the least form r of the
    rho-cycle of M's fixed-point form, h with h^-1 M h the automorph of r,
-   and the generator z of M's centraliser.  V and W of one trace are
+   and the generator z of M's centraliser.  Elements share the cycle walk:
+   it is made once per cycle of reduced forms (``_least_frame``), and each
+   element only reduces its form and conjugates.  V and W of one trace are
    PSL2(Z)-conjugate iff their r agree; then V ~_Gamma W iff z^i hV hW^-1
    lies in Gamma for some i below the order d of z modulo Gamma, and an
    element M is a proper power in Gamma iff |tr M| != |tr z^d|.
@@ -350,26 +352,51 @@ def reduce_with_transform(form: Form) -> tuple[Form, Mat]:
     return cur, h
 
 
+# (R, D) -> (r, P, Z_r) of every reduced form met so far, one cycle at a time
+_FRAMES: dict[tuple[Form, int], tuple[Form, Mat, Mat]] = {}
+
+
+def _least_frame(R: Form, D: int) -> tuple[Form, Mat, Mat]:
+    """(r, P, Z_r): r the least form of the rho-cycle of the reduced form R,
+    P the product of the steps from R on to r, and Z_r the cycle's step
+    product started at r, so that Z_R = P Z_r P^-1.
+
+    One walk fills the frames of the whole cycle: with Q_i the product of
+    the first i steps from R and r its m-th form, the steps from the i-th
+    form on to r multiply to Q_i^-1 Q_m, or to Q_i^-1 Z_R Q_m when i > m.
+    """
+    if (R, D) not in _FRAMES:
+        forms, Z = _cycle(R, D)
+        Q = [M_ID]
+        for f in forms[:-1]:
+            Q.append(mat_mul(Q[-1], rho_step(f, D)[1]))
+        m = forms.index(min(forms))
+        Zr = mat_mul(mat_mul(mat_inv(Q[m]), Z), Q[m])
+        for i, f in enumerate(forms):
+            to_r = Q[m] if i <= m else mat_mul(Z, Q[m])
+            _FRAMES[f, D] = (forms[m], mat_mul(mat_inv(Q[i]), to_r), Zr)
+    return _FRAMES[R, D]
+
+
 def _axis(M: Mat) -> tuple[Form, Mat, Mat]:
     """(r, h, z): the normal form of a hyperbolic M, reduced once.
 
     r is the least form of the rho-cycle of M's fixed-point form, a
     complete invariant of proper equivalence, and h^-1 M h is the trace-t
     automorph of r, so matrices of one trace are PSL2(Z)-conjugate exactly
-    when their r agree.  z = h0 Z h0^-1, with h0 the reduction and Z the
-    cycle's step product, generates M's centraliser up to sign.
+    when their r agree.  With h0 the reduction to R and (r, P, Z_r) the
+    frame of R's cycle, h = h0 P and z = h Z_r h^-1 = h0 Z_R h0^-1, which
+    generates M's centraliser up to sign.
     """
     t = M[0] + M[3]
     D = t * t - 4
-    R, h = reduce_with_transform(form_of_matrix(M))
-    forms, Z = _cycle(R, D)
-    z = mat_mul(mat_mul(h, Z), mat_inv(h))
-    for _ in range(forms.index(min(forms))):
-        R, step = rho_step(R, D)
-        h = mat_mul(h, step)
-    if mat_mul(mat_mul(mat_inv(h), M), h) != matrix_of_form(R, t):
+    R, h0 = reduce_with_transform(form_of_matrix(M))
+    r, P, Z = _least_frame(R, D)
+    h = mat_mul(h0, P)
+    h_inv = mat_inv(h)
+    if mat_mul(mat_mul(h_inv, M), h) != matrix_of_form(r, t):
         raise RuntimeError("normal-form transform failed its own check")
-    return R, h, z
+    return r, h, mat_mul(mat_mul(h, Z), h_inv)
 
 
 def ambient_conjugator(V: Mat, W: Mat) -> Mat | None:
@@ -480,15 +507,15 @@ def bruteforce_subgroup_counts(spec: GroupSpec, max_trace: int,
     found = enumerate_subgroup_elements(spec, max_trace, entry_bound)
     counts: dict[int, int] = {}
     for t, elems in found.items():
-        reps: dict[Form, list[Mat]] = {}  # r -> the h of each representative
+        reps: dict[Form, list[Mat]] = {}  # r -> the h^-1 of each representative
         for M in elems:
             r, h, z = _axis(M)
             d = _order(z, spec)
             if _is_power(M, z, d):
                 continue
             same = reps.setdefault(r, [])
-            if not any(_meets(z, d, mat_mul(h, mat_inv(hR)), spec) for hR in same):
-                same.append(h)
+            if not any(_meets(z, d, mat_mul(h, hR_inv), spec) for hR_inv in same):
+                same.append(mat_inv(h))
         if reps:
             counts[t] = sum(map(len, reps.values()))
     return counts

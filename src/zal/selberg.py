@@ -70,15 +70,24 @@ def local_factor(l: float, s: float, tol: float = 1e-14) -> LocalFactorEval:
     with q = e^{-l} and x_K = q^{s+K+1} it is 2 x_K / ((1 - x_K)(1 - q)).
     K = max(1, ceil(log(2 / (tol (1-q))) / l - s)) meets it: then
     x_K <= q tol (1-q) / 2 < 1 - q, so the bound is below
-    q tol / (1 - x_K) < tol.  A depth above _MAX_TERMS is refused.
+    q tol / (1 - x_K) < tol.  A depth above _MAX_TERMS is refused, and so
+    is a tolerance at which 2 / (tol (1-q)) overflows.
     """
     if not l > 0 or not 0 < s < math.inf:
         raise ValueError("local factor needs l > 0 and 0 < s < inf")
     if not 0 < tol <= 1:
         raise ValueError("local factor needs 0 < tol <= 1")
     q = math.exp(-l)
-    width = tol * (1 - q)
-    depth = math.log(2.0 / width) / l - s if width > 0 else math.inf
+    if q == 1.0:  # l so small that e^-l rounds to 1: a depth beyond any work limit
+        depth = math.inf
+    else:
+        width = tol * (1 - q)
+        if width == 0.0 or 2.0 / width == math.inf:
+            # tol (1 - q) is subnormal or 0, and a tail bound that small rounds above tol
+            raise BudgetExhaustedError(
+                f"local factor at l = {l:g}, tol = {tol:g}: tol * (1 - e^-l) = {width:g} "
+                "underflows, so 2 / (tol (1 - e^-l)) overflows")
+        depth = math.log(2.0 / width) / l - s
     if not depth <= _MAX_TERMS:
         raise BudgetExhaustedError(
             f"local factor at l = {l:g}, tol = {tol:g} needs more than {_MAX_TERMS} terms")

@@ -22,6 +22,7 @@ out of scope.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -90,6 +91,7 @@ _BERN_FLOAT = [float(b) for b in _BERNOULLI]
 # Work limit on a truncation depth: a tolerance whose depth lies beyond it
 # is refused before any term is summed.
 _MAX_TERMS = 10_000_000
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _em_hurwitz(s: complex, a: float, n_start: int, budget: PrecisionBudget,
@@ -134,19 +136,41 @@ def _em_hurwitz(s: complex, a: float, n_start: int, budget: PrecisionBudget,
 
 
 def riemann_zeta(s: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
-    """zeta(s) for real s > 1, or s <= 0 via the functional equation."""
+    """zeta(s) for real s > 1, or s <= 0 via the functional equation.
+
+    For s < 0 the prefactor 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) is built
+    in logs: Gamma(1-s) alone overflows from s = -170.6 on, zeta(s) itself
+    only from about s = -260, and an |zeta(s)| beyond the float range is
+    refused.  abs_tol bounds the Euler-Maclaurin truncation; the prefactor
+    carries a relative rounding of about |log prefactor| * 2^-53.
+    """
+    if math.isnan(s) or s == -math.inf:
+        raise DomainError(f"zeta(s) is not defined at s = {s}")
     if s == 1:
         raise PoleError("zeta has a pole at s = 1")
     if 0 < s < 1:
         raise DomainError("strip 0 < s < 1 is outside the supported domain")
+    if s == math.inf:
+        return 1.0
     if s > 1:
         return _em_hurwitz(complex(s), 1.0, 8, budget)[0].real
     # s <= 0: zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
     if s == round(s) and int(s) % 2 == 0:
         return -0.5 if s == 0 else 0.0  # zeta(0) and the trivial zeros, exact
-    pref = 2.0 ** s * math.pi ** (s - 1) * math.sin(math.pi * s / 2) * math.gamma(1 - s)
-    sub = PrecisionBudget(abs_tol=budget.abs_tol / (2 * abs(pref) + 1))
-    return pref * _em_hurwitz(complex(1 - s), 1.0, 8, sub)[0].real
+    sine = math.sin(math.pi * s / 2)
+    log_pref = (s * math.log(2.0) + (s - 1) * math.log(math.pi) + math.lgamma(1 - s)
+                + math.log(abs(sine)))
+    if log_pref > _LOG_FLOAT_MAX:  # and zeta(1 - s) > 1
+        raise DomainError(f"|zeta({s:g})| overflows a float")
+    pref = math.copysign(math.exp(log_pref), sine)
+    sub_tol = budget.abs_tol / (2 * abs(pref) + 1)
+    if sub_tol == 0.0:
+        raise BudgetExhaustedError(
+            f"abs_tol {budget.abs_tol:g} over the prefactor {pref:.3g} underflows to 0")
+    value = pref * _em_hurwitz(complex(1 - s), 1.0, 8, PrecisionBudget(abs_tol=sub_tol))[0].real
+    if math.isinf(value):
+        raise DomainError(f"|zeta({s:g})| overflows a float")
+    return value
 
 
 def hurwitz_zeta(s: float, a: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> float:

@@ -253,6 +253,25 @@ class TestSym2LValue:
                 want = np.array([np.sum(c[1:] * n ** (-s0 - zj)) for zj in z])
                 assert np.max(np.abs(got[k, r] - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("N,chunk", [(3895, 4096), (8000, 4096), (8000, 1000)],
+                             ids=["3895_one_block", "8000_two_blocks", "8000_ragged_blocks"])
+    def test_mirrored_moments_match_full_exp_to_the_bit(self, N, chunk, monkeypatch):
+        from zal.modforms import _BAD_CANDIDATES, _dirichlet_moments, _sym2_coeff_rows
+        monkeypatch.setattr(mf, "_CHUNK", chunk)
+        cs = _sym2_coeff_rows(mf.eta_product_qexp(N), N, _BAD_CANDIDATES)
+        got = _dirichlet_moments(cs, (2.0, 1.0))
+        want = _full_exp_moments(cs, (2.0, 1.0), chunk)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+    def test_contour_is_the_linspace_grid_and_exactly_mirrored(self):
+        from zal.modforms import _N_TAU, _TAU_MAX, _contour
+        z, w = _contour()
+        tau = np.linspace(-_TAU_MAX, _TAU_MAX, _N_TAU)
+        assert np.array_equal(z.imag.view(np.int64), tau.view(np.int64))
+        assert np.array_equal(z.view(np.float64), np.conjugate(z[::-1]).view(np.float64))
+        assert np.all(z.real == 3.5) and z.imag[_N_TAU // 2] == 0.0
+        assert np.all(w[1:-1] == tau[1] - tau[0]) and w[0] == w[-1] == (tau[1] - tau[0]) / 2
+
     def test_unique_hypothesis(self, sym):
         assert sym.rejected == 19
         assert sym.conductor == 121
@@ -278,6 +297,19 @@ class TestSym2LValue:
             rels.append(abs(lam / gam - direct) / direct)
         assert rels[0] > rels[1] > rels[2] or rels[2] < 1e-5
         assert rels[1] < 1e-4
+
+
+def _full_exp_moments(cs, s0s, chunk):
+    """Reference: the moments with n^{-z} exponentiated on every contour column."""
+    z, _ = mf._contour()
+    s0 = np.asarray(s0s, dtype=float)[:, None, None]
+    out = np.zeros((len(s0s) * len(cs), len(z)), dtype=complex)
+    for i0 in range(1, cs.shape[1], chunk):
+        n = np.arange(i0, min(i0 + chunk, cs.shape[1]), dtype=float)
+        block = np.exp(np.outer(-np.log(n), z))
+        rows = cs[None, :, i0:i0 + len(n)] * n ** -s0
+        out += rows.reshape(len(out), len(n)) @ block
+    return out.reshape(len(s0s), len(cs), len(z))
 
 
 def _per_beta_coeffs(f, N, bad_beta):

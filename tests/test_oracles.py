@@ -182,6 +182,59 @@ class TestNormalForm:
         assert len(calls) == len(set(calls)) == n > 0
 
 
+def _axis_by_cycle_walk(M):
+    """The former normal form: every element walks its reduced form's whole
+    cycle, takes z from that walk, then steps on to the least form."""
+    t = M[0] + M[3]
+    D = t * t - 4
+    R, h = oracles.reduce_with_transform(oracles.form_of_matrix(M))
+    forms, Z = oracles._cycle(R, D)
+    z = ls.mat_mul(ls.mat_mul(h, Z), oracles.mat_inv(h))
+    for _ in range(forms.index(min(forms))):
+        R, step = oracles.rho_step(R, D)
+        h = ls.mat_mul(h, step)
+    return R, h, z
+
+
+# the distinct (group, max_trace, entry_bound) brute-force windows of the
+# seed-0 crosscheck benchmark pass for these three groups
+SEED0_WINDOWS = [(ls.GroupSpec.gamma0(11), 20, 80), (ls.GroupSpec.gamma0(11), 20, 81),
+                 (ls.GroupSpec.principal2(), 20, 40), (ls.GroupSpec.principal2(), 20, 41),
+                 (ls.GroupSpec.gamma1(13), 14, 400), (ls.GroupSpec.gamma1(13), 14, 401),
+                 (ls.GroupSpec.gamma1(13), 14, 404)]
+
+
+class TestLeastFrame:
+    @pytest.mark.parametrize("spec,max_trace,bound", SEED0_WINDOWS)
+    def test_axis_matches_the_uncached_walk(self, spec, max_trace, bound, monkeypatch):
+        monkeypatch.setattr(oracles, "_FRAMES", {})
+        elems = oracles.enumerate_subgroup_elements(spec, max_trace, bound)
+        n = 0
+        for M in (M for ms in elems.values() for M in ms):
+            assert oracles._axis(M) == _axis_by_cycle_walk(M), M
+            n += 1
+        assert n > 0
+
+    def test_one_cycle_walk_per_reduced_cycle(self, monkeypatch):
+        spec, max_trace, bound = SEED0_WINDOWS[0]
+        cycles = set()
+        for t, ms in oracles.enumerate_subgroup_elements(spec, max_trace, bound).items():
+            D = t * t - 4
+            for M in ms:
+                R, _ = oracles.reduce_with_transform(oracles.form_of_matrix(M))
+                cycles.add((min(oracles._cycle(R, D)[0]), D))
+        calls = []
+        cycle = oracles._cycle
+        monkeypatch.setattr(oracles, "_cycle", lambda R, D: calls.append(D) or cycle(R, D))
+        monkeypatch.setattr(oracles, "_FRAMES", {})
+        got = oracles.bruteforce_subgroup_counts(spec, max_trace, bound)
+        assert got == {e.trace: e.multiplicity
+                       for e in ls.subgroup_spectrum(spec, max_trace).entries}
+        assert len(calls) == len(cycles) > 0
+        oracles.bruteforce_subgroup_counts(spec, max_trace, bound)
+        assert len(calls) == len(cycles)  # the frames outlive the call
+
+
 def _ambient_conjugator_by_cycle_walk(V, W):
     """The former ambient_conjugator: reduce both fixed-point forms, then walk
     W's cycle until it meets V's reduced form or comes back."""

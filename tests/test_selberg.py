@@ -61,6 +61,15 @@ class TestLocalFactor:
             with pytest.raises(BudgetExhaustedError):
                 selberg.local_factor(l, 1.0, 1e-10)
 
+    def test_subnormal_tolerance_names_the_underflow(self):
+        # tol (1 - q) below 2 / DBL_MAX: the cause is the underflow, not the work limit
+        for l, tol in ((1.0, 5e-324), (1.0, 1e-308), (40.0, 1e-309), (1e-15, 5e-324)):
+            with pytest.raises(BudgetExhaustedError, match="underflows"):
+                selberg.local_factor(l, 1.0, tol)
+        assert selberg.local_factor(1.0, 1.0, 1e-300).terms < 1000
+        with pytest.raises(BudgetExhaustedError, match="more than"):
+            selberg.local_factor(1e-17, 1.0, 1e-10)  # e^-l rounds to 1
+
     # below about 1e-307, 2 / (tol (1 - q)) overflows and the factor is refused
     @settings(max_examples=100)
     @given(st.floats(min_value=0.05, max_value=40.0),

@@ -50,6 +50,33 @@ class TestRiemannZeta:
         with pytest.raises(sf.DomainError):
             sf.riemann_zeta(0.5, BUDGET)
 
+    def test_nan_and_minus_inf_are_outside_the_domain(self):
+        for s in (math.nan, -math.inf):
+            with pytest.raises(sf.DomainError):
+                sf.riemann_zeta(s, BUDGET)
+
+    def test_plus_inf_is_one(self):
+        assert sf.riemann_zeta(math.inf, BUDGET) == 1.0
+
+    # references to 30 digits (mpmath.zeta); Gamma(1 - s) alone overflows
+    # from s = -170.6 on, so these go through the log prefactor
+    @pytest.mark.parametrize("s,want", [(-0.5, -0.207886224977354566017306725397),
+                                        (-3.5, 0.00444101133547943195853465801782),
+                                        (-170.5, 1.73632156090945517544971184289e171),
+                                        (-171.7, 5.89924583476324974551582891450e172),
+                                        (-250.3, 4.02515518661981987899686697715e292)])
+    def test_functional_equation_beyond_the_gamma_range(self, s, want):
+        # the log prefactor's relative rounding is about |log prefactor| * 2^-53
+        assert sf.riemann_zeta(s, BUDGET) == pytest.approx(want, rel=1e-12)
+
+    def test_float_overflow_of_zeta_itself_is_a_domain_error(self):
+        for s in (-300.5, -301.0, -1e6 - 0.5):
+            with pytest.raises(sf.DomainError, match="overflows a float"):
+                sf.riemann_zeta(s, BUDGET)
+        # finite, but abs_tol over a prefactor near 4e292 underflows to 0
+        with pytest.raises(sf.BudgetExhaustedError, match="underflows"):
+            sf.riemann_zeta(-250.3, sf.PrecisionBudget(abs_tol=1e-40))
+
     def test_budget_exhaustion(self):
         # the remainder falls like n^-(s+17): 1e-300 needs n near 1e16, and
         # the cutoff is refused before any term is summed
