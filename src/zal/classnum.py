@@ -12,7 +12,10 @@ acosh(t/2), so
 
 f = F/u (Cohen, GTM 138, 5.6; Sarnak, J. Number Theory 15, 1982).  The
 L-value comes from the erfc/E1 series and a bound on the series tail,
-the special-function error and the summation error.  Each D's series is
+the special-function error and the summation error.  erfc is scipy's;
+E1 is evaluated here in numpy (``_e1``), to a relative error derived from
+its truncations and roundings rather than taken from a library's
+documentation.  Each D's series is
 summed only as far as its roundings need: to a bound of acosh(t/2)/(8g)
 over the (t, g) that read it, g = f prod (1 - chi_D(p)/p), so every count
 carries an error of at most 1/8.  A count is rounded only when its
@@ -33,17 +36,68 @@ from collections import Counter
 from math import isqrt
 
 import numpy as np
-from scipy.special import erfc, exp1
+from scipy.special import erfc
 
 from .oracles import _cycle_counts
 
-# relative error of one series term: scipy's erfc and exp1 (cephes reports a
-# 5.7e-14 peak for erfc) plus the rounding of their arguments, which adds
-# about 2 x^2 eps where the terms matter (x < 6); 1e-12 leaves a margin
+_EPS = sys.float_info.epsilon
+# E1 (see ``_e1``): the power series up to _E1_X0, the J-fraction above it,
+# deeper up to _E1_X1 than beyond; each truncation is solved from its
+# remainder bound to stay within _E1_TRUNC, relative
+_E1_X0, _E1_X1 = 2.0, 4.0
+_E1_TRUNC = 1e-13
+
+
+def _series_remainder(K: int, x: float) -> float:
+    """Relative bound on E1's power series after K terms, at every x' <= x:
+    the alternating tail is below its first term x^(K+1)/((K+1)(K+1)!), and
+    E1(x') > e^-x'/(1 + x') (the J-fraction's first convergent)."""
+    return x ** (K + 1) / ((K + 1) * math.factorial(K + 1)) * (1 + x) * math.exp(x)
+
+
+def _fraction_remainder(K: int, x: float) -> float:
+    """Relative bound on the depth-K J-fraction of e^x E1(x), at every
+    x' >= x: it is the K-node Gauss-Laguerre rule of int_0^inf e^-t/(x + t)
+    dt, which underestimates by int e^-t L_K(t)^2/((x + t) L_K(-x)^2) dt
+    <= 1/(x L_K(-x)^2), L_K(-x) = sum_j C(K, j) x^j/j!, and
+    e^x E1(x) > 1/(1 + x)."""
+    laguerre = sum(math.comb(K, j) * x ** j / math.factorial(j) for j in range(K + 1))
+    return (1 + x) / (x * laguerre ** 2)
+
+
+def _least_depth(remainder, x: float) -> int:
+    K = 1
+    while remainder(K, x) > _E1_TRUNC:  # each remainder falls to 0 with K
+        K += 1
+    return K
+
+
+_E1_TERMS = _least_depth(_series_remainder, _E1_X0)
+_E1_DEEP = _least_depth(_fraction_remainder, _E1_X0)
+_E1_SHALLOW = _least_depth(_fraction_remainder, _E1_X1)
+_E1_COEFFS = [(-1) ** (k + 1) / (k * math.factorial(k)) for k in range(1, _E1_TERMS + 1)]
+# Rounding, in units u = eps/2, with numpy's log and exp taken within 4 ulp.
+# Series: term k passes 2k + 3 roundings, gamma 3 and log x 9, so the error
+# is at most u (sum (2k + 3) |c_k| x^k + 3 gamma + 9 |log x|).  Over
+# E1(x) > e^-x/(1 + x) that grows on [1, x0] and is below 50 u for x < 1,
+# so its value at x0 bounds the band.
+# J-fraction: backward, f_k = x + 2k - 1 - k^2/f_(k+1) >= x + k for k >= 2
+# (x >= 1), so the rounding of f_(k+1) reaches f_k damped by
+# k^2/(f_k f_(k+1)) < 1; the products of those factors sum to below 1.2 at
+# x >= x0, which leaves f_1 within 5 u and E1 = e^-x/f_1 within 14 u, far
+# below the series' bound.
+_E1_REL_ERR = _E1_TRUNC + (1 + _E1_X0) * math.exp(_E1_X0) * _EPS / 2 * (
+    sum((2 * k + 3) * abs(c) * _E1_X0 ** k for k, c in enumerate(_E1_COEFFS, 1))
+    + 3 * np.euler_gamma + 9 * math.log(_E1_X0))
+# relative error of one series term, a sum of two positive parts:
+# - erfc: scipy's, which cephes documents to a 5.7e-14 peak, plus the
+#   rounding of its argument, about 2 x^2 eps where the terms matter (x < 6);
+# - E1: _E1_REL_ERR (1.8e-13), derived above, plus (1 + x) delta for the
+#   rounding delta <= 4 eps of x = pi n^2/D, as |x E1'(x)/E1(x)| < 1 + x;
+#   below 1e-12 while e^-x is a normal float (x < 708).
 _TERM_REL_ERR = 1e-12
 # entries of one row block of the series: a float64 block is 128 KB
 _BLOCK_ENTRIES = 1 << 14
-_EPS = sys.float_info.epsilon
 
 
 def smallest_prime_factors(n: int) -> np.ndarray:
@@ -138,16 +192,73 @@ def _tail(D: np.ndarray, N: np.ndarray) -> np.ndarray:
 
 
 def _terms(D: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """The least N >= 1 whose tail bound is at most ``tail``, per row: the
-    bound falls with N, so double N until it holds, then bisect."""
-    lo, hi = np.zeros_like(D), np.ones_like(D)
-    while (short := _tail(D, hi) > tail).any():
-        lo, hi = np.where(short, hi, lo), np.where(short, 2 * hi, hi)
+    """The least N >= 1 whose tail bound is at most ``tail``, per row.
+
+    In y = pi (N+1)^2/D the bound is 2 e^-y/(y (1 - e^-a)), a = 2 sqrt(pi
+    y/D) + pi/D, and falls strictly, so it meets ``tail`` at one y*, the
+    fixed point of the decreasing map g(y) = log(2/tail) - log y - log(1 -
+    e^-a): y* lies between any y > 0 and g(y).  Two steps of g give that
+    bracket in closed form; widened by one N on each side against rounding,
+    it is bisected on the bound itself.
+    """
+    c = np.log(2 / tail)
+
+    def g(y):
+        return c - np.log(y) - np.log(-np.expm1(-2 * np.sqrt(np.pi * y / D) - np.pi / D))
+
+    y = np.maximum(g(np.maximum(c, 1.0)), np.finfo(float).tiny)
+    gy = g(y)
+    lo = np.floor(np.sqrt(np.maximum(np.minimum(y, gy), 0) * D / np.pi)) - 2
+    hi = np.ceil(np.sqrt(np.maximum(y, gy) * D / np.pi))
+    lo, hi = np.maximum(lo, 0).astype(np.int64), np.maximum(hi, 1).astype(np.int64)
     while (gap := hi - lo > 1).any():
         mid = (lo + hi) // 2
         ok = _tail(D, mid) <= tail
         lo, hi = np.where(gap & ~ok, mid, lo), np.where(gap & ok, mid, hi)
     return hi
+
+
+def _fraction_steps(x: np.ndarray, f: np.ndarray, top: int, bottom: int) -> np.ndarray:
+    """f <- x + 2k - 1 - k^2/f for k = top down to bottom, in place."""
+    shifted = np.empty_like(x)
+    for k in range(top, bottom - 1, -1):
+        np.divide(k * k, f, out=f)
+        np.add(x, 2 * k - 1, out=shifted)
+        np.subtract(shifted, f, out=f)
+    return f
+
+
+def _e1(x: np.ndarray) -> np.ndarray:
+    """E1(x) for x > 0, within _E1_REL_ERR relative while e^-x is normal.
+
+    Up to _E1_X0 the alternating power series -gamma - log x + sum_{k >= 1}
+    (-1)^(k+1) x^k/(k k!) to _E1_TERMS terms, by Horner's rule.  Above it
+    e^x E1(x) = int_0^inf e^-t/(x + t) dt from the J-fraction 1/(x+1 -
+    1^2/(x+3 - 2^2/(x+5 - ...))), evaluated backward from depth _E1_DEEP up
+    to _E1_X1 and _E1_SHALLOW beyond, where the deeper part joins it.
+    """
+    out = np.empty_like(x)
+    series = x <= _E1_X0
+    xs = x[series]
+    p = np.full_like(xs, _E1_COEFFS[-1])
+    for c in reversed(_E1_COEFFS[:-1]):
+        p *= xs
+        p += c
+    p *= xs
+    p -= np.euler_gamma
+    p -= np.log(xs)
+    out[series] = p
+    fraction = ~series
+    xf = x[fraction]
+    f = xf + (2 * _E1_SHALLOW - 1)
+    deep = xf <= _E1_X1
+    xd = xf[deep]
+    f[deep] = _fraction_steps(xd, xd + (2 * _E1_DEEP - 1), _E1_DEEP - 1, _E1_SHALLOW)
+    _fraction_steps(xf, f, _E1_SHALLOW - 1, 1)
+    np.negative(xf, out=xf)
+    np.exp(xf, out=xf)
+    out[fraction] = np.divide(xf, f, out=xf)
+    return out
 
 
 def _l_series(D: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +273,9 @@ def _l_series(D: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray
     sums the least N whose tail bound is at most target/2; the other half
     is left to the term and summation errors,
     (_TERM_REL_ERR + N eps/(1 - N eps)) sum |a_n|, which the bound adds to
-    the tail.  Rows are evaluated in blocks of about _BLOCK_ENTRIES terms,
-    each block to its largest N.
+    the tail.  _TERM_REL_ERR covers scipy's erfc and ``_e1`` with the
+    rounding of their arguments.  Rows are evaluated in blocks of about
+    _BLOCK_ENTRIES terms, each block to its largest N.
     """
     n_terms = _terms(D, target / 2)
     spf = smallest_prime_factors(int(n_terms.max()))
@@ -187,7 +299,7 @@ def _l_series(D: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray
         a *= np.sqrt(d)[:, None]
         a /= n
         x *= x
-        a += exp1(x, out=x)
+        a += _e1(x)
         gamma = N * _EPS / (1.0 - N * _EPS)
         bound[i:j] = _tail(d, N) + (_TERM_REL_ERR + gamma) * a.sum(axis=1)
         chi = _characters(D[i:j], N, spf, layers)[:, 1:]
