@@ -7,7 +7,8 @@ Subpackages by theme:
 - ``lengthspec``   geodesic length spectra of congruence subgroups
 - ``selberg``      Selberg zeta local factors and Euler products
 - ``degeneration`` pinching-family star-graph model
-- ``modforms``     the level-11 weight-2 eigenform pipeline
+- ``modforms``     the newform pipeline: the Sym^2 search at any prime level;
+                   eta product, point count and Petersson quadrature of 11a
 - ``arakelov``     the arithmetic-degree ledger and exponent extraction
 - ``cli``          command-line verification surface
 """

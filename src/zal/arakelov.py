@@ -166,13 +166,13 @@ def special_value_exponents(spec: GroupSpec,
 
 
 def _slot_l_value(spec: GroupSpec) -> tuple[float, float, tuple[str, ...]] | None:
-    """The slot's L-value, est_error and caveats; None off level 11, which has no pipeline."""
-    if spec.level != 11:
+    """The slot's L-value, est_error and caveats; None at a level with no modeled newform."""
+    from .modforms import newform_sym2  # loads numpy and scipy: only when a slot is asked for
+    sym = newform_sym2(spec.level)
+    if sym is None:
         return None
-    from .modforms import level11_sym2
-    sym = level11_sym2()
     return sym.value, sym.est_error, (
-        f"L-value computed from the level-11 pipeline "
+        f"L-value computed from the level-{spec.level} pipeline "
         f"(functional-equation residual {sym.fe_residual:.2e})",
         "the bound propagates the L-value's est_error, a heuristic residual",
     )
@@ -209,8 +209,10 @@ def predict_zprime(spec: GroupSpec, constants: SpecialConstants,
                    l_value: float | None = None) -> tuple[float, tuple[str, ...]]:
     """Numeric e^a pi^b Gamma2(1/2)^c L^(l_exp), with its caveat strings.
 
-    For the level-11 groups the L-value is computed on demand when not
-    supplied; other levels must supply one, else ValueError.
+    L is L(2, Sym^2 f) of the newform f of level N, with conductor N or
+    N^2, bad root none, +-1 or +-N and sign +-1 fixed by
+    ``modforms.sym2_L_value``.  Unless supplied it is computed where
+    ``modforms`` has f; elsewhere ValueError.
     """
     value, _, caveats = zprime_prediction(special_value_exponents(spec, constants),
                                           constants, l_value)

@@ -297,12 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("specfun", help="special-function cross-checks")
     p.add_argument("action", choices=["check"])
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_specfun)
 
     p = sub.add_parser("constants", help="tautological-constant relations")
     p.add_argument("action", choices=["check"])
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_constants)
 
     p = sub.add_parser("spectrum", help="geodesic length spectra (CSV)")
@@ -311,13 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--max-trace", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("selberg", help="Euler-product evaluation, s > 1")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--max-trace", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_selberg)
 
     p = sub.add_parser("degenerate", help="pinching-family consistency")
@@ -326,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--sweep", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_degenerate)
 
     p = sub.add_parser("lvalue", help="level-11 L-value pipeline")
@@ -334,20 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs-out", default=None,
                    help="also export the (n, a_n) coefficient CSV here")
     p.add_argument("--coeffs-n", type=int, default=1000)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_lvalue)
 
     p = sub.add_parser("theoremB", help="special-value exponent ledger")
     p.add_argument("--group", choices=["gamma2", "gamma0", "gamma1"], required=True)
     p.add_argument("--p", type=int, default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_theorem_b)
 
     p = sub.add_parser("verify", help="run every acceptance pipeline")
     p.add_argument("what", choices=["all"])
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return ap
 
 

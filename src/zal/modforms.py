@@ -1,7 +1,7 @@
-"""Level-11 weight-2 eigenform: coefficients, Petersson norm, symmetric-square L.
+"""Newform pipeline: q-expansions, point counts, Petersson norm, symmetric-square L.
 
-The unique normalized weight-2 eigenform of level 11 is modeled two
-independent ways:
+The one modeled newform is 11a, the unique normalized weight-2
+eigenform of level 11.  Its coefficients come two independent ways:
 
 * the eta product q prod (1-q^k)^2 (1-q^{11k})^2, read from the exponent
   table {1: 2, 11: 2} of prod_d eta(d z)^{e_d} and expanded with exact
@@ -19,24 +19,24 @@ fundamental domain is computed by folding the twelve coset translates of
 the standard modular domain through the Fricke involution
 f(-1/(11 z)) = eps * 11 z^2 f(z), which turns every evaluation into a
 rapidly convergent q-series at Im >= sqrt(3)/22; the region above a
-split height is integrated in closed form via Parseval.  The Gauss
-product mesh is evaluated at all its nodes at once.
+split height is integrated in closed form via Parseval.  The exponent
+table, the point count and this quadrature rest on 11a itself.
 
-L(s, Sym^2 f) is evaluated through a smoothed (contour-Mellin)
-approximate functional equation for the completed function
+L(s, Sym^2 f) is evaluated at the form's prime level N through a
+smoothed (contour-Mellin) approximate functional equation for
 
-    Lambda(s) = N^{s/2} GammaC(s) GammaR(s) L(s),  Lambda(s) = w Lambda(3-s),
+    Lambda(s) = Q^{s/2} GammaC(s) GammaR(s) L(s),  Lambda(s) = w Lambda(3-s),
 
-with the conductor N, the sign w and the local Euler factor at 11
-selected by a self-consistency search: a hypothesis is kept only if the
-evaluation is independent of the smoothing cutoff (Dokchitser's test,
-Experiment. Math. 13, 2004).  The winning hypothesis is unique at desk
-tolerance.
+with the conductor Q in {N, N^2}, the sign w and the local Euler factor
+at N (none, or reciprocal root +-1 or +-N) selected by a self-consistency
+search: a hypothesis is kept only if the evaluation is independent of
+the smoothing cutoff (Dokchitser's test, Experiment. Math. 13, 2004).
+At level 11 the winning hypothesis is unique at desk tolerance.
 
 All 20 hypotheses are scored from one pass over n.  The contour sum
 factors as
 
-    sum_j K_j(N, s0, X) D_j(s0),   D_j(s0) = sum_n c_n n^{-s0-z_j},
+    sum_j K_j(Q, s0, X) D_j(s0),   D_j(s0) = sum_n c_n n^{-s0-z_j},
 
 where the closed-form kernel K carries the conductor and the cutoff and
 the Dirichlet moments D depend only on the bad factor and on s0 in
@@ -49,12 +49,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.special import gamma as _cgamma
 
 from .classnum import smallest_prime_factors
+from .lengthspec import _is_prime
+from .specfun import DomainError
 
 __all__ = [
     "QExpansion",
@@ -68,14 +70,14 @@ __all__ = [
     "dirichlet_direct",
     "petersson_norm",
     "sym2_L_value",
-    "level11_sym2",
+    "newform_sym2",
     "hida_ratio",
     "reconstruct_rational",
     "sym2_local_poly",
     "coefficients_csv",
 ]
 
-LEVEL = 11
+LEVEL = 11  # of 11a: the eta exponent table, the point count and the Petersson quadrature
 WEIERSTRASS = (0, -1, 1, -10, -20)  # a1, a2, a3, a4, a6 of the model above
 _N_TERMS = 8000  # q-expansion and Sym^2 Dirichlet-series truncation of the L-value
 
@@ -119,13 +121,13 @@ def _pentagonal_terms(N: int, step: int) -> list[tuple[int, int]]:
     return out
 
 
-# eta(z)^2 eta(11 z)^2 as {d: e_d} of prod_d eta(d z)^{e_d}; e_d > 0
+# 11a = eta(z)^2 eta(11 z)^2 as {d: e_d} of prod_d eta(d z)^{e_d}; e_d > 0
 _ETA_EXPONENTS = {1: 2, LEVEL: 2}
 
 
 @lru_cache(maxsize=4)
 def eta_product_qexp(N: int) -> QExpansion:
-    """Exact coefficients a_1..a_N of q prod_d prod_k (1-q^{dk})^{e_d}.
+    """Exact coefficients a_1..a_N of 11a = q prod_d prod_k (1-q^{dk})^{e_d}.
 
     Each factor is one sparse multiply by its pentagonal terms; a product
     entry sums at most len(terms) entries of the running series, so that
@@ -156,7 +158,6 @@ def point_count_ap(ell: int) -> int:
     of how many y give each value of y^2 + y, read at the right side of
     every x, is an exact count in O(ell) for every good prime, 2 included.
     """
-    from .lengthspec import _is_prime
     if ell == LEVEL:
         raise BadPrimeError("the level is a bad prime for this model")
     if not _is_prime(ell):
@@ -172,8 +173,7 @@ def point_count_ap(ell: int) -> int:
 
 
 def frobenius_traces(P: int) -> dict[int, int]:
-    """a_ell for all good primes ell <= P, by point counting."""
-    from .lengthspec import _is_prime
+    """a_ell of 11a for all good primes ell <= P, by point counting."""
     return {p: point_count_ap(p) for p in range(2, P + 1)
             if p != LEVEL and _is_prime(p)}
 
@@ -261,9 +261,9 @@ def _petersson_quadrature(coeffs: np.ndarray, panels: int, order: int,
 
 
 def petersson_norm(f: QExpansion, tol: float = 1e-8) -> PeterssonResult:
-    """<f,f> = int_{X0(11)} |f|^2 dx dy with a mesh-refinement error bound."""
+    """<f,f> = int_{X0(11)} |f|^2 dx dy with a mesh-refinement error bound; 11a only."""
     if f.level != LEVEL:
-        raise ValueError("only the level-11 pipeline is modeled")
+        raise ValueError("only the level-11 quadrature is modeled")
     n_coef = min(f.truncation, 400)
     coeffs = np.array(f.coeffs[:n_coef], dtype=float)
     sign = _al_sign(coeffs)
@@ -448,23 +448,26 @@ class Sym2Result:
     rejected: int
 
 
-_BAD_CANDIDATES: tuple[int | None, ...] = (None, 1, -1, 11, -11)
+def _bad_roots(level: int) -> tuple[int | None, ...]:
+    """Reciprocal roots of the degree-1 factor at the level; None = no factor."""
+    return (None, 1, -1, level, -level)
 
 
 def _score_hypotheses(f: QExpansion, s: float,
                       n_terms: int) -> list[tuple[float, int, int | None, int, float]]:
     """(residual, conductor, bad_beta, sign, Lambda_X) per hypothesis, best first.
 
-    The coefficients depend only on the bad factor and the moments only
-    on (bad factor, s0), so one pass over n serves all 20 hypotheses;
-    each is then two contour dots per cutoff.
+    N is the form's level.  The coefficients depend only on the bad
+    factor and the moments only on (bad factor, s0), so one pass over n
+    serves all 20 hypotheses; each is then two contour dots per cutoff.
     """
-    cs = _sym2_coeff_rows(f, n_terms, _BAD_CANDIDATES)
+    bad = _bad_roots(f.level)
+    cs = _sym2_coeff_rows(f, n_terms, bad)
     moments = _dirichlet_moments(cs, (s, 3.0 - s))
     results = []
-    for cond in (LEVEL, LEVEL ** 2):
+    for cond in (f.level, f.level ** 2):
         k1, k2 = _afe_kernels(s, cond, 1.0), _afe_kernels(s, cond, 2.0)
-        for b, beta in enumerate(_BAD_CANDIDATES):
+        for b, beta in enumerate(bad):
             d = moments[:, b]
             for w_sign in (1, -1):
                 l1 = _lambda_from_moments(d, k1, w_sign)
@@ -479,16 +482,18 @@ def sym2_L_value(f: QExpansion, s: float = 2.0, tol: float = 1e-6,
                  n_terms: int = _N_TERMS) -> Sym2Result:
     """L(s, Sym^2 f) with conductor / bad-factor / sign fixed by self-consistency.
 
-    Every hypothesis in {11, 121} x {trivial, root +-1, +-1/11} x {+-1}
-    is scored by the cutoff-independence residual
-    |Lambda_X - Lambda_2X| / |Lambda_X|; exactly one must survive below
-    tol, and with none or several there is no unique hypothesis and
-    ``NoHypothesisError`` says how many.
+    With N = f.level, a prime, every hypothesis in {N, N^2} x
+    {trivial, reciprocal root +-1, +-N} x {+-1} is scored by the
+    cutoff-independence residual |Lambda_X - Lambda_2X| / |Lambda_X|;
+    exactly one must survive below tol, and with none or several there
+    is no unique hypothesis and ``NoHypothesisError`` says how many.
     """
-    if f.level != LEVEL:
-        raise ValueError("only the level-11 pipeline is modeled")
-    if f.truncation < n_terms:
-        f = eta_product_qexp(n_terms)
+    if not (0.0 < tol < math.inf and n_terms >= 1):
+        raise DomainError(f"tol = {tol}, n_terms = {n_terms}: need 0 < tol < inf "
+                          f"and n_terms >= 1")
+    if not _is_prime(f.level) or f.truncation < n_terms:
+        raise ValueError(f"need a prime level and n_terms = {n_terms} coefficients; "
+                         f"the form has level {f.level} and {f.truncation}")
     results = _score_hypotheses(f, s, n_terms)
     winners = [r for r in results if r[0] < tol]
     if len(winners) != 1:
@@ -503,10 +508,12 @@ def sym2_L_value(f: QExpansion, s: float = 2.0, tol: float = 1e-6,
                       fe_residual=res, rejected=len(results) - 1)
 
 
-@lru_cache(maxsize=1)
-def level11_sym2() -> Sym2Result:
-    """L(2, Sym^2 f) at the default tolerance and truncation, once per process."""
-    return sym2_L_value(eta_product_qexp(_N_TERMS))
+@cache
+def newform_sym2(level: int) -> Sym2Result | None:
+    """L(2, Sym^2 f) at the default tolerance and truncation, once per level;
+    None where no newform is modeled: 11a, the eta product, is the only one."""
+    f = eta_product_qexp(_N_TERMS)
+    return sym2_L_value(f) if f.level == level else None
 
 
 def dirichlet_direct(f: QExpansion, s: float, n_terms: int,

@@ -95,7 +95,7 @@ def check_small_length_asymptotic() -> CheckResult:
 
 def check_b_spectrum_and_burger() -> CheckResult:
     from . import degeneration
-    worst = 0.0
+    worst = burger_worst = 0.0
     cases = 0
     for g in range(0, 3):
         for n in range(1, 9):
@@ -107,17 +107,12 @@ def check_b_spectrum_and_burger() -> CheckResult:
             scale = want[-1]
             worst = max(worst, max(abs(a - b) / scale for a, b in zip(got, want)))
             cases += 1
-    burger_worst = 0.0
-    for g in range(0, 3):
-        for n in range(1, 9):
-            if 2 * g - 2 + n <= 0:
-                continue
-            model = degeneration.star_graph_perturbed(g, n, 1e-8, seed=2)
-            target = n / model.alpha + 1.0
+            pert = degeneration.star_graph_perturbed(g, n, 1e-8, seed=2)
+            target = n / pert.alpha + 1.0
             burger_worst = max(burger_worst,
-                               abs(degeneration.burger_product(model) / target - 1.0))
-            lam = degeneration.laplacian_small_eigenvalues(model)
-            prod = math.prod(v / l for v, l in zip(lam, model.edge_lengths))
+                               abs(degeneration.burger_product(pert) / target - 1.0))
+            lam = degeneration.laplacian_small_eigenvalues(pert)
+            prod = math.prod(v / l for v, l in zip(lam, pert.edge_lengths))
             composed = (1.0 / (2 * math.pi ** 2)) ** n * target
             burger_worst = max(burger_worst, abs(prod / composed - 1.0))
     return CheckResult(
@@ -201,7 +196,7 @@ def check_coefficient_oracles() -> CheckResult:
 
 def check_hida_rationality() -> CheckResult:
     from . import modforms
-    sym = modforms.level11_sym2()
+    sym = modforms.newform_sym2(11)
     pet = modforms.petersson_norm(modforms.eta_product_qexp(modforms._N_TERMS), tol=1e-8)
     h = modforms.hida_ratio(sym, pet)
     # negative control perturbs the Petersson factor itself; rescaling the
@@ -243,7 +238,7 @@ def check_exponent_ledger() -> CheckResult:
 
 def check_sym2_self_consistency() -> CheckResult:
     from . import modforms
-    sym = modforms.level11_sym2()
+    sym = modforms.newform_sym2(11)
     return CheckResult(
         name="sym2_functional_equation",
         passed=sym.fe_residual < 1e-6 and sym.rejected == 19,

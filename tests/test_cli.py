@@ -33,11 +33,11 @@ class TestTheoremB:
         assert payload["results"]["c"] == "-32/3"  # -4*24/9
 
     def test_level11_bound_covers_the_l_value_error(self, capsys):
-        from zal.modforms import level11_sym2
+        from zal.modforms import newform_sym2
         assert main(["theoremB", "--group", "gamma0", "--p", "11", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         val = payload["results"]["numeric_prediction"]
-        sym = level11_sym2()
+        sym = newform_sym2(11)
         assert payload["error_bounds"]["numeric_prediction"] >= abs(val) * sym.est_error / sym.value
 
     @pytest.mark.parametrize("p", ["13", "17"])
@@ -192,6 +192,19 @@ class TestLvalue:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage" in err.lower() and "found 10 hypotheses below 1.0" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_tolerance_outside_its_domain_is_refused_before_the_search(self, tol, capsys):
+        import time
+
+        import zal.modforms  # noqa: F401  (the import is not what is timed)
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["lvalue", "--tol", tol])
+        assert time.perf_counter() - t0 < 0.2
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage" in err.lower() and "need 0 < tol < inf" in err
 
     def test_other_arithmetic_errors_propagate(self, monkeypatch):
         from zal import modforms

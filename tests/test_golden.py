@@ -4,8 +4,8 @@ Each file under ``tests/golden`` is the complete stdout of one ``zal``
 invocation (for ``spectrum``: the CSV followed by the JSON envelope).
 A refactor that changes any byte of these reports changes behaviour.
 The floating-point reports of the level-11 pipeline (``lvalue``, and
-``theoremB`` at level 11, which computes the L-value itself) are held to
-their own error bounds instead of to their bytes.
+``theoremB`` at Gamma0(11) and Gamma1(11), which compute the L-value
+themselves) are held to their own error bounds instead of to their bytes.
 """
 
 import json
@@ -51,6 +51,7 @@ CASES = {
 BOUNDED = {
     "lvalue.json": ["lvalue"],
     "theoremB_gamma0_p11.json": ["theoremB", "--group", "gamma0", "--p", "11"],
+    "theoremB_gamma1_p11.json": ["theoremB", "--group", "gamma1", "--p", "11"],
 }
 
 
@@ -89,3 +90,7 @@ def test_lvalue_matches_golden_within_error_bounds(capsys):
 
 def test_theoremB_gamma0_p11_matches_golden_within_error_bounds(capsys):
     _assert_within_error_bounds("theoremB_gamma0_p11.json", capsys)
+
+
+def test_theoremB_gamma1_p11_matches_golden_within_error_bounds(capsys):
+    _assert_within_error_bounds("theoremB_gamma1_p11.json", capsys)

@@ -123,7 +123,7 @@ def pet():
 
 @pytest.fixture(scope="module")
 def sym():
-    return mf.level11_sym2()
+    return mf.newform_sym2(11)
 
 
 @pytest.fixture(scope="module")
@@ -228,22 +228,59 @@ class TestSym2LValue:
         assert [r[0] for r in scored] == sorted(r[0] for r in scored)
         assert 100 * scored[0][0] <= scored[1][0]
 
+    def test_hypotheses_are_read_from_the_form_level(self):
+        from zal.modforms import _score_hypotheses
+        f = mf.QExpansion(level=13, coeffs=mf.eta_product_qexp(200).coeffs)
+        scored = _score_hypotheses(f, 2.0, 200)
+        assert len(scored) == 20
+        assert {r[1] for r in scored} == {13, 169}
+        assert {r[2] for r in scored} == {None, 1, -1, 13, -13}
+        assert len({r[1:4] for r in scored}) == 20
+
+    @pytest.mark.parametrize("f,n_terms", [
+        (mf.QExpansion(level=11, coeffs=(1, 5, 7, 9)), 3900),
+        (F600, 601),
+        (mf.QExpansion(level=15, coeffs=F600.coeffs), 600),
+        (mf.QExpansion(level=1, coeffs=F600.coeffs), 600),
+    ], ids=["bogus-form-too-short", "eta-one-short", "composite-level", "level-1"])
+    def test_form_that_cannot_carry_the_search_is_refused(self, f, n_terms):
+        with pytest.raises(ValueError, match="need a prime level"):
+            mf.sym2_L_value(f, n_terms=n_terms)
+
+    @pytest.mark.parametrize("tol,n_terms", [
+        (math.nan, 600), (0.0, 600), (-1.0, 600), (math.inf, 600), (1e-6, 0), (1e-6, -5),
+    ])
+    def test_arguments_outside_the_domain_are_refused_before_any_coefficient(
+            self, tol, n_terms, monkeypatch):
+        from zal.specfun import DomainError
+
+        def unbuilt(*args):
+            raise AssertionError("coefficients built for a refused argument")
+
+        monkeypatch.setattr(mf, "_sym2_coeff_rows", unbuilt)
+        with pytest.raises(DomainError, match="need 0 < tol < inf and n_terms >= 1"):
+            mf.sym2_L_value(F600, tol=tol, n_terms=n_terms)
+
+    def test_newform_lookup_by_level(self, sym):
+        assert mf.newform_sym2(23) is None
+        assert mf.newform_sym2(11) is sym
+        assert (sym.conductor, sym.bad_beta, sym.sign) == (121, 1, 1)
+
     def test_coeff_rows_match_per_beta_builder(self):
-        from zal.modforms import _BAD_CANDIDATES, _sym2_coeff_rows
+        from zal.modforms import _bad_roots, _sym2_coeff_rows
         N = 8000
         f = mf.eta_product_qexp(N)
-        rows = _sym2_coeff_rows(f, N, _BAD_CANDIDATES)
-        for row, beta in zip(rows, _BAD_CANDIDATES):
+        rows = _sym2_coeff_rows(f, N, _bad_roots(11))
+        for row, beta in zip(rows, _bad_roots(11)):
             want = _per_beta_coeffs(f, N, beta)
             assert np.array_equal(row[1:], want[1:]), beta
 
     @pytest.mark.parametrize("chunk", [4096, 128])  # one block; four, the last ragged
     def test_batched_moments_match_plain_sums(self, chunk, monkeypatch):
-        from zal.modforms import (_BAD_CANDIDATES, _contour, _dirichlet_moments,
-                                  _sym2_coeff_rows)
+        from zal.modforms import _bad_roots, _contour, _dirichlet_moments, _sym2_coeff_rows
         monkeypatch.setattr(mf, "_CHUNK", chunk)
         N = 500
-        cs = _sym2_coeff_rows(mf.eta_product_qexp(N), N, _BAD_CANDIDATES)
+        cs = _sym2_coeff_rows(mf.eta_product_qexp(N), N, _bad_roots(11))
         s0s = (2.0, 1.0)
         got = _dirichlet_moments(cs, s0s)
         z, _ = _contour()
@@ -256,9 +293,9 @@ class TestSym2LValue:
     @pytest.mark.parametrize("N,chunk", [(3895, 4096), (8000, 4096), (8000, 1000)],
                              ids=["3895_one_block", "8000_two_blocks", "8000_ragged_blocks"])
     def test_mirrored_moments_match_full_exp_to_the_bit(self, N, chunk, monkeypatch):
-        from zal.modforms import _BAD_CANDIDATES, _dirichlet_moments, _sym2_coeff_rows
+        from zal.modforms import _bad_roots, _dirichlet_moments, _sym2_coeff_rows
         monkeypatch.setattr(mf, "_CHUNK", chunk)
-        cs = _sym2_coeff_rows(mf.eta_product_qexp(N), N, _BAD_CANDIDATES)
+        cs = _sym2_coeff_rows(mf.eta_product_qexp(N), N, _bad_roots(11))
         got = _dirichlet_moments(cs, (2.0, 1.0))
         want = _full_exp_moments(cs, (2.0, 1.0), chunk)
         assert np.array_equal(got.view(np.float64), want.view(np.float64))
