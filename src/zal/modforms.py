@@ -40,8 +40,12 @@ factors as
 
 where the closed-form kernel K carries the conductor and the cutoff and
 the Dirichlet moments D depend only on the bad factor and on s0 in
-{s, 3-s}.  The 5 x 2 moment rows come from one chunked product with
-n^{-z}; each hypothesis is then two contour dots per cutoff.
+{s, 3-s}.  The 5 x 2 moment rows come from one chunked pass over n:
+n^{-z} splits into the real modulus n^{-c}, folded into the rows, and
+a phase that is the product of two small tables, one per coarse and
+one per fine step of tau.  Only the tau >= 0 half is summed; the other
+half is its conjugate.  Each hypothesis is then two contour dots per
+cutoff.
 """
 
 from __future__ import annotations
@@ -312,34 +316,28 @@ def _sym2_coeff_rows(f: QExpansion, N: int, bad_betas: tuple[int | None, ...]) -
 
     Each beta is the reciprocal root of the degree-1 factor at the level
     (None = trivial factor).  The multiplicative fill runs once with
-    root 1; row beta is beta^v(n) c_n, v the valuation at the level.
-    The entries are integers below 2^15 up to 8000 terms, so every
-    product is exact while they stay below 2^53.
+    root 1, one strided multiply by c(p^v(n)) per good prime p; row
+    beta is beta^v(n) c_n, v the valuation at the level.  The entries
+    are integers below 2^15 up to 8000 terms, so every product is exact
+    while they stay below 2^53, in any order of the primes.
     """
     spf = smallest_prime_factors(N)
-    c = np.zeros(N + 1)
-    c[1] = 1.0
-    powers: dict[int, list[float]] = {}
-    for p in range(2, N + 1):
-        if spf[p] != p:
-            continue
-        kmax = int(math.log(N) / math.log(p)) + 1
+    c = np.ones(N + 1)
+    c[0] = 0.0
+    for p in (np.flatnonzero(spf[2:] == np.arange(2, N + 1)) + 2).tolist():
         if p == f.level:
-            powers[p] = [1.0] * (kmax + 1)
             continue
         # c(p^k) from 1/(1 + c1 X + c2 X^2 + c3 X^3), the good local factor
         _, c1, c2, c3 = sym2_local_poly(p, f.a(p)).poly_coeffs
         seq = [1.0, float(-c1), float(c1 * c1 - c2)]
-        while len(seq) < kmax + 1:
+        while p ** len(seq) <= N:
             seq.append(-c1 * seq[-1] - c2 * seq[-2] - c3 * seq[-3])
-        powers[p] = seq
-    for n in range(2, N + 1):
-        p = int(spf[n])
-        m, k = n, 0
-        while m % p == 0:
-            m //= p
-            k += 1
-        c[n] = powers[p][k] * c[m]
+        # multiple i of p, (i + 1) p, is divisible by p^k when p^(k-1) | i + 1;
+        # larger k are written later, over the smaller
+        local = np.full(N // p, seq[1])
+        for k in range(2, len(seq)):
+            local[p ** (k - 1) - 1::p ** (k - 1)] = seq[k]
+        c[p::p] *= local
     v = np.zeros(N + 1, dtype=np.int64)
     q = f.level
     while q <= N:
@@ -363,7 +361,7 @@ def _gamma_completed(s):
 
 # The AFE contour z = c + i tau, |tau| <= 14, sampled by the trapezoid rule.
 _C_LINE, _TAU_MAX, _N_TAU = 3.5, 14.0, 449
-_CHUNK = 4096  # n rows per n^{-z} block: bounds the block at 4096 x 449
+_CHUNK = 4096  # n rows per pass: bounds each phase table at 4096 x 16
 
 
 def _contour() -> tuple[np.ndarray, np.ndarray]:
@@ -387,26 +385,33 @@ def _dirichlet_moments(cs: np.ndarray, s0s: tuple[float, ...]) -> np.ndarray:
     """D[k, r, j] = sum_n cs[r, n] n^{-s0s[k] - z_j}, in one chunked pass over n.
 
     ``cs`` holds one coefficient vector c_0 .. c_N per row (c_0 unused).
-    Each chunk builds its n^{-z} block once and one stacked product of
-    all (s0, row) pairs consumes it.  The contour is mirrored, so the
-    block is exponentiated on its tau >= 0 columns only and the others
-    are their conjugates: -log n * conj(z) = conj(-log n * z) and
-    exp(conj w) = conj(exp w) hold to the bit, so the block is the full
-    exp's.
+    With z_j = c + i tau_j, n^{-s0-z_j} = n^{-s0-c} e^{-i tau_j log n}.
+    The modulus goes into the real row weights W = c_n n^{-s0-c}.  The
+    grid has b = 1/step nodes per unit of tau (16 on its 2^-4 step), and
+    tau_{bq+k} = tau_{bq} + tau_k, so the phase is a coarse table
+    e^{-i tau_{bq} log n} times a fine one e^{-i tau_k log n}, k < b:
+    b + h/b + 1 exps per n (31) for the h + 1 = 225 columns of the
+    tau >= 0 half, whose columns bq .. bq + b - 1 are (W * coarse_q) @
+    fine.  The rows are real, so D(-tau) = conj D(tau): the tau < 0
+    half is the conjugate of this one, exactly.
     """
     z, _ = _contour()
     h = len(z) // 2  # z[h] is real, z[h - j] = conj(z[h + j])
+    tau = z[h:].imag
+    b = round(1.0 / tau[1])
     cs = np.atleast_2d(cs)
-    s0 = np.asarray(s0s, dtype=float)[:, None, None]
-    out = np.zeros((len(s0s) * len(cs), len(z)), dtype=complex)
+    sigma = np.asarray(s0s, dtype=float)[:, None, None] + z[h].real
+    half = np.zeros((len(s0s) * len(cs), h + 1), dtype=complex)
     for i0 in range(1, cs.shape[1], _CHUNK):
         n = np.arange(i0, min(i0 + _CHUNK, cs.shape[1]), dtype=float)
-        block = np.empty((len(n), len(z)), dtype=complex)
-        upper = np.outer(-np.log(n), z[h:], out=block[:, h:])
-        np.exp(upper, out=upper)  # n^{-z}, tau >= 0
-        np.conjugate(upper[:, :0:-1], out=block[:, :h])
-        rows = cs[None, :, i0:i0 + len(n)] * n ** -s0
-        out += rows.reshape(len(out), len(n)) @ block
+        log_n = np.log(n)
+        fine = np.exp(-1j * np.outer(log_n, tau[:b]))
+        coarse = np.exp(-1j * np.outer(log_n, tau[::b]))
+        w = (cs[None, :, i0:i0 + len(n)] * n ** -sigma).reshape(len(half), len(n))
+        for q in range(coarse.shape[1]):
+            cols = half[:, b * q:b * (q + 1)]
+            cols += (w * coarse[:, q]) @ fine[:, :cols.shape[1]]
+    out = np.concatenate((np.conjugate(half[:, :0:-1]), half), axis=1)
     return out.reshape(len(s0s), len(cs), len(z))
 
 

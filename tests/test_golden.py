@@ -5,10 +5,13 @@ invocation (for ``spectrum``: the CSV followed by the JSON envelope).
 A refactor that changes any byte of these reports changes behaviour.
 The floating-point reports of the level-11 pipeline (``lvalue``, and
 ``theoremB`` at Gamma0(11) and Gamma1(11), which compute the L-value
-themselves) are held to their own error bounds instead of to their bytes.
+themselves) are held to their own error bounds instead of to their bytes,
+and the functional-equation residual quoted in their caveats to the
+search tolerance instead of to its digits.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -62,6 +65,19 @@ def test_cli_output_matches_golden(name, capsys):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
+SEARCH_TOL = 1e-6  # sym2_L_value's default tolerance, the one theoremB searches at
+RESIDUAL = re.compile(r"functional-equation residual ([^)]+)\)")
+
+
+def _residuals_out(caveats):
+    """The caveats with each functional-equation residual blanked, and those residuals.
+
+    A residual is itself an error estimate; its third digit is rounding.
+    """
+    residuals = [float(m) for c in caveats for m in RESIDUAL.findall(c)]
+    return [RESIDUAL.sub("functional-equation residual ?)", c) for c in caveats], residuals
+
+
 def _assert_within_error_bounds(name, capsys):
     """Keys and exact fields equal; each float within its recorded error bound."""
     assert main(BOUNDED[name] + ["--json"]) == 0
@@ -72,7 +88,10 @@ def _assert_within_error_bounds(name, capsys):
         if isinstance(want[block], dict):
             assert got[block].keys() == want[block].keys(), block
     assert got["pass_fail"] == want["pass_fail"]
-    assert got["caveats"] == want["caveats"] and got["inputs"] == want["inputs"]
+    got_caveats, residuals = _residuals_out(got["caveats"])
+    assert got_caveats == _residuals_out(want["caveats"])[0] and got["inputs"] == want["inputs"]
+    # the caveat's residual, like the result below, is held to the search tolerance
+    assert all(r < SEARCH_TOL for r in residuals)
     for key, value in want["results"].items():
         bound = want["error_bounds"][key]
         if key == "functional_equation_residual":

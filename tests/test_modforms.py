@@ -292,13 +292,75 @@ class TestSym2LValue:
 
     @pytest.mark.parametrize("N,chunk", [(3895, 4096), (8000, 4096), (8000, 1000)],
                              ids=["3895_one_block", "8000_two_blocks", "8000_ragged_blocks"])
-    def test_mirrored_moments_match_full_exp_to_the_bit(self, N, chunk, monkeypatch):
-        from zal.modforms import _bad_roots, _dirichlet_moments, _sym2_coeff_rows
+    def test_factored_moments_near_full_exp(self, N, chunk, monkeypatch):
+        """Two-table moments: near n^{-z} exponentiated on every column, mirrored to the bit.
+
+        With u = 2^-53, a_n = |c_n| n^{-s0-c} and Sigma = sum_n a_n, the
+        two kernels differ in two ways, and the bound is their sum.
+
+        * Terms.  Both read the same float L = log n, whose rounding
+          moves both phases alike.  The full exp rounds tau_j L once, the
+          factored kernel tau_{bq} L and tau_k L once each, with tau_j =
+          tau_{bq} + tau_k: the phases differ by at most 2 u tau_j L.
+          The full exp's modulus exp(-c L) carries the rounding of L and
+          of c L, 2 u c L, where the factored one reads n^{-s0-c} from
+          one pow.  Beyond these arguments each kernel takes three
+          function values (pow, exp or a second phase, a cos-sin pair)
+          and three real or complex products, each within 3 u: 18 u per
+          kernel.  So term n differs by at most
+          u a_n (36 + 2 (c + tau_max) log n).
+        * Sums.  Each real component of a moment is summed by BLAS over
+          at most 4N roundings (products and additions, in an order it
+          chooses), each at most u times a partial sum, so at most
+          u Sigma.  As independent mean-zero errors (Higham and Mary,
+          SIAM J. Sci. Comput. 41, 2019), the Azuma-Hoeffding inequality
+          bounds their total by lam sqrt(4N) u Sigma except with
+          probability 2 exp(-lam^2 / 2): 5e-11 at lam = 7, below 1e-6
+          over the 2 x 9000 sums compared here.  A complex moment
+          adds sqrt 2, and the two kernels a factor 2:
+          4 sqrt(2) lam sqrt(N) u Sigma.
+
+        The terms part is below 40 u Sigma: a_n is dominated by its first
+        terms, where log n is small.  The sums part is 2.5e3 u Sigma at
+        3895 terms; BLAS accumulates in blocks from zero, so the
+        measured difference is about 25 u Sigma.
+        """
+        from zal.modforms import (_C_LINE, _TAU_MAX, _bad_roots, _contour,
+                                  _dirichlet_moments, _sym2_coeff_rows)
         monkeypatch.setattr(mf, "_CHUNK", chunk)
         cs = _sym2_coeff_rows(mf.eta_product_qexp(N), N, _bad_roots(11))
-        got = _dirichlet_moments(cs, (2.0, 1.0))
-        want = _full_exp_moments(cs, (2.0, 1.0), chunk)
-        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        s0s = (2.0, 1.0)
+        got = _dirichlet_moments(cs, s0s)
+        want = _full_exp_moments(cs, s0s, chunk)
+        u, lam = 2.0 ** -53, 7.0
+        n = np.arange(1, N + 1, dtype=float)
+        a = np.abs(cs[None, :, 1:]) * n ** -(np.array(s0s)[:, None, None] + _C_LINE)
+        terms = np.sum(a * (36 + 2 * (_C_LINE + _TAU_MAX) * np.log(n)), axis=-1)
+        sums = 4 * math.sqrt(2) * lam * math.sqrt(N) * np.sum(a, axis=-1)
+        assert np.all(np.abs(got - want) <= u * (terms + sums)[..., None])
+        h = len(_contour()[0]) // 2  # D at -tau_j is conj D at tau_j, to the bit
+        assert np.array_equal(got[..., :h].view(np.float64),
+                              np.conjugate(got[..., :h:-1]).view(np.float64))
+
+    @pytest.mark.parametrize("N", [3850, 3895, 3950, 8000])
+    def test_search_unchanged_from_full_exp_moments(self, N, monkeypatch):
+        # the residual |Lambda_X - Lambda_2X| / |Lambda_X| is a difference
+        # of contour sums with condition number ~1e7, so moments that
+        # differ by rounding move it by ~1e-9 (measured up to 9.6e-10 with
+        # two BLAS threads, 4.9e-10 with one); the value moves by ~1e-10
+        from zal.modforms import _score_hypotheses
+        f = mf.eta_product_qexp(N)
+        got = _score_hypotheses(f, 2.0, N)
+        got_sym = mf.sym2_L_value(f, n_terms=N)
+        monkeypatch.setattr(mf, "_dirichlet_moments",
+                            lambda cs, s0s: _full_exp_moments(cs, s0s, mf._CHUNK))
+        want = _score_hypotheses(f, 2.0, N)
+        want_sym = mf.sym2_L_value(f, n_terms=N)
+        assert [r[1:4] for r in got] == [r[1:4] for r in want]
+        assert (got_sym.conductor, got_sym.bad_beta, got_sym.sign) == (121, 1, 1)
+        assert got_sym.rejected == want_sym.rejected == 19
+        assert abs(got_sym.value - want_sym.value) <= 1e-9 * want_sym.value
+        assert abs(got_sym.fe_residual - want_sym.fe_residual) <= 2e-9
 
     def test_contour_is_the_linspace_grid_and_exactly_mirrored(self):
         from zal.modforms import _N_TAU, _TAU_MAX, _contour
