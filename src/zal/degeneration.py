@@ -240,7 +240,7 @@ def sweep_rows(g: int, n: int, t_values: list[float],
         model = (star_graph_uniform(g, n, t) if perturb_seed is None
                  else star_graph_perturbed(g, n, t, seed=perturb_seed))
         spec = graph_spectrum(matrix_A(model))
-        prod = burger_product(model)
+        prod = math.prod(spec.positive) / math.prod(model.edge_lengths)
         target = n / model.alpha + 1.0
         rows.append({
             "t": t,

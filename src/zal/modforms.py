@@ -44,8 +44,8 @@ the Dirichlet moments D depend only on the bad factor and on s0 in
 n^{-z} splits into the real modulus n^{-c}, folded into the rows, and
 a phase that is the product of two small tables, one per coarse and
 one per fine step of tau.  Only the tau >= 0 half is summed; the other
-half is its conjugate.  Each hypothesis is then two contour dots per
-cutoff.
+half is its conjugate.  The archimedean part of K is built once per
+s0, and one contraction per s0 scores every hypothesis at both cutoffs.
 """
 
 from __future__ import annotations
@@ -415,31 +415,29 @@ def _dirichlet_moments(cs: np.ndarray, s0s: tuple[float, ...]) -> np.ndarray:
     return out.reshape(len(s0s), len(cs), len(z))
 
 
-def _afe_kernels(s0: float, cond: int, X: float) -> tuple[np.ndarray, np.ndarray]:
-    """Contour weights of Lambda(s0) at cutoff X: the s0 sum at X, the 3-s0 sum at 1/X.
+_SIGNS = (1, -1)  # root numbers w, in the order of the last axis of _lambdas
 
-    Against D[s1, j] each gives sum_n c_n n^{-s1}
-    (1/2 pi i) int N^{(s1+z)/2} gamma(s1+z) (X/n)^z e^{z^2} dz/z.
+
+def _lambdas(moments: np.ndarray, s0: float, conds: tuple[int, ...],
+             xs: tuple[float, ...]) -> np.ndarray:
+    """Lambda(s0)[conductor, X, row, sign] by the smoothed approximate functional equation.
+
+    ``moments`` is D[k, row, j] at s1 = s0, 3 - s0 (``_dirichlet_moments``).
+    Against D[s1] the kernel gives sum_n c_n n^{-s1} (1/2 pi i) int
+    N^{(s1+z)/2} gamma(s1+z) (x/n)^z e^{z^2} dz/z, with x = X at s0 and
+    1/X at 3 - s0; the sign w multiplies the 3 - s0 sum.  The factor
+    gamma(s1+z) e^{z^2}/z times the trapezoid weights depends on s1
+    alone, so it is built once per s1 for every conductor and cutoff.
     """
     z, w = _contour()
-
-    def kern(s1: float, x: float) -> np.ndarray:
-        return (cond ** ((s1 + z) / 2) * _gamma_completed(s1 + z)
-                * np.exp(z * z) * x ** z / z) * w / (2 * np.pi)
-
-    return kern(s0, X), kern(3.0 - s0, 1.0 / X)
-
-
-def _lambda_from_moments(d: np.ndarray, kernels: tuple[np.ndarray, np.ndarray],
-                         w_sign: int) -> float:
-    """Lambda(s0) from the moments D[s0], D[3-s0] of one coefficient vector."""
-    return float((d[0] @ kernels[0]).real + w_sign * (d[1] @ kernels[1]).real)
-
-
-def _lambda_value(c: np.ndarray, s0: float, cond: int, w_sign: int, X: float) -> float:
-    """Lambda(s0) by the smoothed approximate functional equation at cutoff X."""
-    d = _dirichlet_moments(c, (s0, 3.0 - s0))[:, 0]
-    return _lambda_from_moments(d, _afe_kernels(s0, cond, X), w_sign)
+    cond = np.asarray(conds, dtype=float)[:, None, None]
+    x = np.asarray(xs, dtype=float)[:, None]
+    sums = []
+    for k, (s1, xk) in enumerate(((s0, x), (3.0 - s0, 1.0 / x))):
+        arch = _gamma_completed(s1 + z) * np.exp(z * z) / z * w / (2 * np.pi)
+        kern = cond ** ((s1 + z) / 2) * xk ** z * arch
+        sums.append((kern @ moments[k].T).real)
+    return sums[0][..., None] + np.array(_SIGNS) * sums[1][..., None]
 
 
 @dataclass(frozen=True)
@@ -464,21 +462,18 @@ def _score_hypotheses(f: QExpansion, s: float,
 
     N is the form's level.  The coefficients depend only on the bad
     factor and the moments only on (bad factor, s0), so one pass over n
-    serves all 20 hypotheses; each is then two contour dots per cutoff.
+    serves all 20 hypotheses, and one contraction per s0 of the moments
+    with the (conductor, cutoff) kernels gives every Lambda_X.
     """
     bad = _bad_roots(f.level)
-    cs = _sym2_coeff_rows(f, n_terms, bad)
-    moments = _dirichlet_moments(cs, (s, 3.0 - s))
-    results = []
-    for cond in (f.level, f.level ** 2):
-        k1, k2 = _afe_kernels(s, cond, 1.0), _afe_kernels(s, cond, 2.0)
-        for b, beta in enumerate(bad):
-            d = moments[:, b]
-            for w_sign in (1, -1):
-                l1 = _lambda_from_moments(d, k1, w_sign)
-                l2 = _lambda_from_moments(d, k2, w_sign)
-                res = abs(l1 - l2) / max(abs(l1), 1e-300)
-                results.append((res, cond, beta, w_sign, l1))
+    conds = (f.level, f.level ** 2)
+    moments = _dirichlet_moments(_sym2_coeff_rows(f, n_terms, bad), (s, 3.0 - s))
+    lam = _lambdas(moments, s, conds, (1.0, 2.0))
+    l1 = lam[:, 0]
+    res = np.abs(l1 - lam[:, 1]) / np.maximum(np.abs(l1), 1e-300)
+    results = [(float(res[i, b, k]), cond, beta, w_sign, float(l1[i, b, k]))
+               for i, cond in enumerate(conds) for b, beta in enumerate(bad)
+               for k, w_sign in enumerate(_SIGNS)]
     results.sort(key=lambda r: r[0])
     return results
 

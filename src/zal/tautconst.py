@@ -188,9 +188,8 @@ def detprime_laplacian(g: int, z_prime_1: float, which: str,
                        constants: SpecialConstants) -> float:
     """det' of the hyperbolic Laplacian on a closed genus-g surface.
 
-    ``which='scalar'`` is Z'(1) * exp((2g-2)(2 zeta'(-1) - 1/4 + (1/2) log 2pi));
-    ``which='dbar'`` multiplies by 2^((g+2)/3), which makes it equal to
-    E(g,0) * Z'(1) exactly.
+    ``which='dbar'`` is E(g,0) * Z'(1); ``which='scalar'`` divides it by
+    2^((g+2)/3), leaving Z'(1) * exp((2g-2)(2 zeta'(-1) - 1/4 + (1/2) log 2pi)).
     """
     if g < 2:
         raise ValueError("closed hyperbolic surface needs g >= 2")
@@ -198,8 +197,5 @@ def detprime_laplacian(g: int, z_prime_1: float, which: str,
         raise ValueError("z_prime_1 must be positive")
     if which not in ("scalar", "dbar"):
         raise ValueError("which must be 'scalar' or 'dbar'")
-    zp1 = constants.zeta_prime_minus1
-    val = z_prime_1 * math.exp((2 * g - 2) * (2 * zp1 - 0.25 + 0.5 * math.log(2 * math.pi)))
-    if which == "dbar":
-        val *= 2.0 ** ((g + 2) / 3.0)
-    return val
+    dbar = const_E(SurfaceType(g, 0), constants)[0] * z_prime_1
+    return dbar if which == "dbar" else dbar / 2.0 ** ((g + 2) / 3.0)

@@ -362,6 +362,39 @@ class TestSym2LValue:
         assert abs(got_sym.value - want_sym.value) <= 1e-9 * want_sym.value
         assert abs(got_sym.fe_residual - want_sym.fe_residual) <= 2e-9
 
+    @pytest.mark.parametrize("N", [3850, 3895, 3950, 8000])
+    def test_contraction_matches_per_pair_kernels(self, N, monkeypatch):
+        # the same moments against kernels rebuilt whole per (conductor,
+        # cutoff): only the rounding of the kernel products differs, which
+        # the 1e7-conditioned contour sum lifts to ~1e-10 (measured up to
+        # 1.7e-11 in the value and 4.0e-10 in the winner's residual)
+        from zal.modforms import _score_hypotheses
+        f = mf.eta_product_qexp(N)
+        got = _score_hypotheses(f, 2.0, N)
+        got_sym = mf.sym2_L_value(f, n_terms=N)
+        want = _per_pair_scores(f, 2.0, N)
+        monkeypatch.setattr(mf, "_score_hypotheses", _per_pair_scores)
+        want_sym = mf.sym2_L_value(f, n_terms=N)
+        assert [r[1:4] for r in got] == [r[1:4] for r in want]
+        assert (got_sym.conductor, got_sym.bad_beta, got_sym.sign) == (121, 1, 1)
+        assert got_sym.rejected == want_sym.rejected == 19
+        assert abs(got_sym.value - want_sym.value) <= 1e-9 * want_sym.value
+        assert abs(got_sym.fe_residual - want_sym.fe_residual) <= 2e-9
+
+    def test_gamma_factor_built_once_per_s0(self, monkeypatch):
+        # two contour-sized evaluations, at s and 3 - s, and the scalar
+        # gamma(s) that turns Lambda into L
+        sizes = []
+        gamma = mf._gamma_completed
+
+        def counted(s):
+            sizes.append(np.size(s))
+            return gamma(s)
+
+        monkeypatch.setattr(mf, "_gamma_completed", counted)
+        mf.sym2_L_value(mf.eta_product_qexp(8000))
+        assert sorted(sizes) == [1, mf._N_TAU, mf._N_TAU]
+
     def test_contour_is_the_linspace_grid_and_exactly_mirrored(self):
         from zal.modforms import _N_TAU, _TAU_MAX, _contour
         z, w = _contour()
@@ -384,16 +417,17 @@ class TestSym2LValue:
         # deep in absolute convergence the smoothed evaluation must meet
         # the plain partial sum; far-from-center points pay a slowly
         # decaying reflected tail, so the comparison uses growing X
-        from zal.modforms import _gamma_completed, _lambda_value, _sym2_coeff_rows
+        from zal.modforms import (_SIGNS, _dirichlet_moments, _gamma_completed, _lambdas,
+                                  _sym2_coeff_rows)
         f = mf.eta_product_qexp(8000)
         c = _sym2_coeff_rows(f, 8000, (sym.bad_beta,))[0]
         direct = mf.dirichlet_direct(f, 4.0, 8000, sym.bad_beta)
         gam = (sym.conductor ** 2.0
                * _gamma_completed(np.array([4.0 + 0j]))[0]).real
-        rels = []
-        for X in (2.0, 4.0, 8.0):
-            lam = _lambda_value(c, 4.0, sym.conductor, sym.sign, X=X)
-            rels.append(abs(lam / gam - direct) / direct)
+        d = _dirichlet_moments(c, (4.0, -1.0))
+        lams = _lambdas(d, 4.0, (sym.conductor,), (2.0, 4.0, 8.0))
+        rels = [abs(lam / gam - direct) / direct
+                for lam in lams[0, :, 0, _SIGNS.index(sym.sign)]]
         assert rels[0] > rels[1] > rels[2] or rels[2] < 1e-5
         assert rels[1] < 1e-4
 
@@ -409,6 +443,30 @@ def _full_exp_moments(cs, s0s, chunk):
         rows = cs[None, :, i0:i0 + len(n)] * n ** -s0
         out += rows.reshape(len(out), len(n)) @ block
     return out.reshape(len(s0s), len(cs), len(z))
+
+
+def _per_pair_scores(f, s, n_terms):
+    """Reference: the search with the whole kernel rebuilt per (conductor, cutoff)
+    and one pair of contour dots per hypothesis and cutoff."""
+    z, w = mf._contour()
+
+    def kern(s1, cond, x):
+        return (cond ** ((s1 + z) / 2) * mf._gamma_completed(s1 + z)
+                * np.exp(z * z) * x ** z / z) * w / (2 * np.pi)
+
+    bad = mf._bad_roots(f.level)
+    moments = mf._dirichlet_moments(mf._sym2_coeff_rows(f, n_terms, bad), (s, 3.0 - s))
+    results = []
+    for cond in (f.level, f.level ** 2):
+        k1, k2 = [(kern(s, cond, X), kern(3.0 - s, cond, 1.0 / X)) for X in (1.0, 2.0)]
+        for b, beta in enumerate(bad):
+            d = moments[:, b]
+            for w_sign in (1, -1):
+                l1, l2 = [float((d[0] @ k[0]).real + w_sign * (d[1] @ k[1]).real)
+                          for k in (k1, k2)]
+                results.append((abs(l1 - l2) / max(abs(l1), 1e-300), cond, beta, w_sign, l1))
+    results.sort(key=lambda r: r[0])
+    return results
 
 
 def _per_beta_coeffs(f, N, bad_beta):
