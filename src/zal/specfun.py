@@ -22,7 +22,6 @@ out of scope.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,7 +34,6 @@ __all__ = [
     "riemann_zeta",
     "hurwitz_zeta",
     "zeta_prime_minus1",
-    "barnes_gamma2_half",
     "log_barnes_gamma2_half",
     "euler_gamma",
     "compute_constants",
@@ -91,11 +89,11 @@ _BERN_FLOAT = [float(b) for b in _BERNOULLI]
 # Work limit on a truncation depth: a tolerance whose depth lies beyond it
 # is refused before any term is summed.
 _MAX_TERMS = 10_000_000
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_N_CORR = 8  # J, the Euler-Maclaurin correction terms kept
 
 
-def _em_hurwitz(s: complex, a: float, n_start: int, budget: PrecisionBudget,
-                n_corr: int = 8) -> tuple[complex, float]:
+def _em_hurwitz(s: complex, a: float, n_start: int,
+                budget: PrecisionBudget) -> tuple[complex, float]:
     """Euler-Maclaurin sum for zeta(s, a), complex-analytic in s.
 
     Returns (value, remainder_bound).  The remainder bound is the first
@@ -104,12 +102,12 @@ def _em_hurwitz(s: complex, a: float, n_start: int, budget: PrecisionBudget,
     that bound alone meets abs_tol; the sum is then taken once, at n.
     """
     sigma = s.real
-    if sigma + 2 * n_corr + 1 <= 0:
+    if sigma + 2 * _N_CORR + 1 <= 0:
         raise BudgetExhaustedError("sigma too negative for the fixed correction depth")
     # B_2j/(2j)! * s(s+1)...(s+2j-2) for j = 1..J+1; they do not depend on n
     coeffs = []
     poch, fact = s, 2.0
-    for j in range(1, n_corr + 2):
+    for j in range(1, _N_CORR + 2):
         coeffs.append(_BERN_FLOAT[j - 1] / fact * poch)
         poch *= (s + 2 * j - 1) * (s + 2 * j)
         fact *= (2 * j + 1) * (2 * j + 2)
@@ -117,8 +115,8 @@ def _em_hurwitz(s: complex, a: float, n_start: int, budget: PrecisionBudget,
     n = n_start
     while True:
         na = n + a
-        bound = (abs(omitted * na ** (-s - 2 * (n_corr + 1) + 1))
-                 * abs(s + 2 * n_corr + 1) / (sigma + 2 * n_corr + 1))
+        bound = (abs(omitted * na ** (-s - 2 * (_N_CORR + 1) + 1))
+                 * abs(s + 2 * _N_CORR + 1) / (sigma + 2 * _N_CORR + 1))
         if bound <= budget.abs_tol:
             break
         n *= 2
@@ -136,41 +134,17 @@ def _em_hurwitz(s: complex, a: float, n_start: int, budget: PrecisionBudget,
 
 
 def riemann_zeta(s: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
-    """zeta(s) for real s > 1, or s <= 0 via the functional equation.
+    """zeta(s) for real 1 < s < inf; abs_tol bounds the Euler-Maclaurin truncation.
 
-    For s < 0 the prefactor 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) is built
-    in logs: Gamma(1-s) alone overflows from s = -170.6 on, zeta(s) itself
-    only from about s = -260, and an |zeta(s)| beyond the float range is
-    refused.  abs_tol bounds the Euler-Maclaurin truncation; the prefactor
-    carries a relative rounding of about |log prefactor| * 2^-53.
+    The pipelines read zeta only at integers s >= 2 (the Barnes series and
+    the Hurwitz check), so s = 1 is refused as the pole and every other
+    s <= 1, +-inf and nan as outside the domain.
     """
-    if math.isnan(s) or s == -math.inf:
-        raise DomainError(f"zeta(s) is not defined at s = {s}")
     if s == 1:
         raise PoleError("zeta has a pole at s = 1")
-    if 0 < s < 1:
-        raise DomainError("strip 0 < s < 1 is outside the supported domain")
-    if s == math.inf:
-        return 1.0
-    if s > 1:
-        return _em_hurwitz(complex(s), 1.0, 8, budget)[0].real
-    # s <= 0: zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
-    if s == round(s) and int(s) % 2 == 0:
-        return -0.5 if s == 0 else 0.0  # zeta(0) and the trivial zeros, exact
-    sine = math.sin(math.pi * s / 2)
-    log_pref = (s * math.log(2.0) + (s - 1) * math.log(math.pi) + math.lgamma(1 - s)
-                + math.log(abs(sine)))
-    if log_pref > _LOG_FLOAT_MAX:  # and zeta(1 - s) > 1
-        raise DomainError(f"|zeta({s:g})| overflows a float")
-    pref = math.copysign(math.exp(log_pref), sine)
-    sub_tol = budget.abs_tol / (2 * abs(pref) + 1)
-    if sub_tol == 0.0:
-        raise BudgetExhaustedError(
-            f"abs_tol {budget.abs_tol:g} over the prefactor {pref:.3g} underflows to 0")
-    value = pref * _em_hurwitz(complex(1 - s), 1.0, 8, PrecisionBudget(abs_tol=sub_tol))[0].real
-    if math.isinf(value):
-        raise DomainError(f"|zeta({s:g})| overflows a float")
-    return value
+    if not 1 < s < math.inf:
+        raise DomainError(f"zeta(s) is evaluated only for 1 < s < inf, not at s = {s}")
+    return _em_hurwitz(complex(s), 1.0, 8, budget)[0].real
 
 
 def hurwitz_zeta(s: float, a: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
@@ -241,20 +215,16 @@ def _zeta_prime_glaisher_route(budget: PrecisionBudget) -> float:
     return 1.0 / 12.0 - log_a
 
 
-def zeta_prime_minus1(budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
-    """zeta'(-1) by two independent routes; raises if they disagree."""
+def zeta_prime_minus1(budget: PrecisionBudget = DEFAULT_BUDGET) -> tuple[float, float]:
+    """(zeta'(-1), |route gap|) from two independent routes; raises if they disagree."""
     r1 = _zeta_prime_fe_route(budget)
     r2 = _zeta_prime_glaisher_route(budget)
-    if abs(r1 - r2) > 2 * budget.abs_tol:
+    gap = abs(r1 - r2)
+    if gap > 2 * budget.abs_tol:
         raise BudgetExhaustedError(
             f"zeta'(-1) routes disagree: {r1!r} vs {r2!r} beyond 2*abs_tol"
         )
-    return 0.5 * (r1 + r2)
-
-
-def zeta_prime_minus1_routes(budget: PrecisionBudget = DEFAULT_BUDGET) -> tuple[float, float]:
-    """Both internal routes, for cross-check reporting."""
-    return _zeta_prime_fe_route(budget), _zeta_prime_glaisher_route(budget)
+    return 0.5 * (r1 + r2), gap
 
 
 def log_barnes_gamma2_half(budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
@@ -284,11 +254,6 @@ def log_barnes_gamma2_half(budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
     return -total  # log Gamma2(1/2) = -log G(1/2)
 
 
-def barnes_gamma2_half(budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
-    """Gamma2(1/2) > 0 in the normalization documented above."""
-    return math.exp(log_barnes_gamma2_half(budget))
-
-
 def voros_residual(zp1: float, log_g2h: float) -> float:
     """|exp(zeta'(-1)) * 2^(1/36) * pi^(-1/6) * Gamma2(1/2)^(2/3) - 1|."""
     return abs(
@@ -316,5 +281,5 @@ def compute_constants(budget: PrecisionBudget = DEFAULT_BUDGET) -> SpecialConsta
 
     ``SpecialConstants`` itself checks the Voros identity, at the default
     budget's limit, and raises BudgetExhaustedError when it fails."""
-    return SpecialConstants(zeta_prime_minus1=zeta_prime_minus1(budget),
+    return SpecialConstants(zeta_prime_minus1=zeta_prime_minus1(budget)[0],
                             log_gamma2_half=log_barnes_gamma2_half(budget))
