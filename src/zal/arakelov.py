@@ -35,7 +35,7 @@ certified by this anchor rather than by the congruence-level argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .lengthspec import GroupSpec, group_invariants
@@ -132,7 +132,6 @@ class SpecialValueExponents:
     c: Rat
     l_exponent: Rat
     group: GroupSpec
-    caveats: tuple[str, ...] = field(default=(INDEPENDENCE_CAVEAT,))
 
 
 def closed_form_exponents(g: int, n: int, m: int) -> tuple[Rat, Rat, Rat]:
@@ -197,12 +196,12 @@ def zprime_prediction(exps: SpecialValueExponents, constants: SpecialConstants,
         if l_value is None:
             slot = _slot_l_value(exps.group)
             if slot is None:
-                return None, None, exps.caveats + (NO_L_VALUE_CAVEAT,)
+                return None, None, (INDEPENDENCE_CAVEAT, NO_L_VALUE_CAVEAT)
             l_value, l_error, slot_caveats = slot
             rel_err += abs(float(exps.l_exponent)) * l_error / l_value
         log_val += float(exps.l_exponent) * math.log(l_value)
     return (math.exp(log_val), rel_err,
-            exps.caveats + (ALGEBRAIC_UNIT_CAVEAT,) + slot_caveats)
+            (INDEPENDENCE_CAVEAT, ALGEBRAIC_UNIT_CAVEAT) + slot_caveats)
 
 
 def predict_zprime(spec: GroupSpec, constants: SpecialConstants,

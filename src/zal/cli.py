@@ -25,20 +25,6 @@ class _UsageError(ValueError):
     """A request no computation can meet as given; reported like a bad option."""
 
 
-def _coerce_json(obj):
-    """numpy scalars and Fractions into plain JSON types."""
-    import numpy as np
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 @dataclass
 class ReportEnvelope:
     command: str
@@ -66,7 +52,7 @@ class ReportEnvelope:
             "pass_fail": self.pass_fail,
             "results": self.results,
         }
-        return json.dumps(payload, sort_keys=True, indent=2, default=_coerce_json)
+        return json.dumps(payload, sort_keys=True, indent=2)
 
     def to_table(self) -> str:
         lines = [f"== {self.command} =="]
@@ -153,7 +139,7 @@ def cmd_spectrum(args) -> int:
         sys.stdout.write(csv_text)
     env.record("distinct_lengths", len(sp.entries), EXACT)
     env.record("total_classes", sp.total_classes(), EXACT)
-    if sp.torsion_flagged:
+    if not spec.torsion_free:
         env.caveats.append(
             "group has elliptic elements (or is the ambient orbifold): "
             "spectrum enumerated, but a torsion-free uniformization is assumed "

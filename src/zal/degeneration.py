@@ -32,7 +32,6 @@ from .specfun import DomainError
 
 __all__ = [
     "StarGraphModel",
-    "SpectrumResult",
     "wolpert_length",
     "star_graph_uniform",
     "star_graph_perturbed",
@@ -81,10 +80,6 @@ class StarGraphModel:
     def alpha(self) -> int:
         return 2 * self.g - 2 + self.n
 
-    @property
-    def masses(self) -> tuple[float, ...]:
-        return (float(self.alpha),) + (1.0,) * self.n
-
 
 def star_graph_uniform(g: int, n: int, t: float) -> StarGraphModel:
     """All edge lengths equal to the plumbing law at t."""
@@ -92,7 +87,7 @@ def star_graph_uniform(g: int, n: int, t: float) -> StarGraphModel:
     return StarGraphModel(g=g, n=n, edge_lengths=(l,) * n)
 
 
-def star_graph_perturbed(g: int, n: int, t: float, seed: int = 0) -> StarGraphModel:
+def star_graph_perturbed(g: int, n: int, t: float, seed: int) -> StarGraphModel:
     """Edge lengths l(t) + c_j / log(1/|t|)^4 with deterministic |c_j| <= 1."""
     l = wolpert_length(t)
     rng = np.random.default_rng(seed + 1000003 * n + 7 * g)
@@ -122,20 +117,7 @@ def matrix_B(model: StarGraphModel) -> np.ndarray:
     return matrix_A(model)
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
-    eigenvalues: tuple[float, ...]
-
-    @property
-    def smallest(self) -> float:
-        return self.eigenvalues[0]
-
-    @property
-    def positive(self) -> tuple[float, ...]:
-        return self.eigenvalues[1:]
-
-
-def graph_spectrum(M: np.ndarray) -> SpectrumResult:
+def graph_spectrum(M: np.ndarray) -> tuple[float, ...]:
     """All eigenvalues, sorted ascending, via mass-weight symmetrization.
 
     The hub mass is recovered from the matrix itself (alpha = M10/M01),
@@ -165,7 +147,7 @@ def graph_spectrum(M: np.ndarray) -> SpectrumResult:
     vals = np.sort(vals)
     if abs(vals[0]) > 1e-12 * max(scale, 1.0) or (n >= 1 and vals[1] <= abs(vals[0])):
         raise ArithmeticError("kernel eigenvalue is not simple-zero within tolerance")
-    return SpectrumResult(eigenvalues=tuple(float(v) for v in vals))
+    return tuple(float(v) for v in vals)
 
 
 def closed_form_B_spectrum(model: StarGraphModel) -> tuple[float, ...]:
@@ -186,16 +168,14 @@ def burger_product(model: StarGraphModel) -> float:
     lives in the individual eigenvalues, which only converge to the
     uniform closed form.
     """
-    spec = graph_spectrum(matrix_A(model))
-    num = math.prod(spec.positive)
+    num = math.prod(graph_spectrum(matrix_A(model))[1:])
     den = math.prod(model.edge_lengths)
     return num / den
 
 
 def laplacian_small_eigenvalues(model: StarGraphModel) -> list[float]:
     """Predicted small surface eigenvalues mu_j / (2 pi^2)."""
-    spec = graph_spectrum(matrix_A(model))
-    return [m / (2.0 * math.pi ** 2) for m in spec.positive]
+    return [m / (2.0 * math.pi ** 2) for m in graph_spectrum(matrix_A(model))[1:]]
 
 
 def degeneration_consistency(g: int, n: int, t: float, Zx: float,
@@ -232,19 +212,17 @@ def degeneration_consistency(g: int, n: int, t: float, Zx: float,
     return lhs12, rhs13
 
 
-def sweep_rows(g: int, n: int, t_values: list[float],
-               perturb_seed: int | None = None) -> list[dict]:
-    """CSV-ready rows (t, eigenvalues..., product, target, ratio)."""
+def sweep_rows(g: int, n: int, t_values: list[float], perturb_seed: int) -> list[dict]:
+    """CSV-ready rows (t, eigenvalues..., product, target, ratio) of the perturbed model."""
     rows = []
     for t in t_values:
-        model = (star_graph_uniform(g, n, t) if perturb_seed is None
-                 else star_graph_perturbed(g, n, t, seed=perturb_seed))
+        model = star_graph_perturbed(g, n, t, seed=perturb_seed)
         spec = graph_spectrum(matrix_A(model))
-        prod = math.prod(spec.positive) / math.prod(model.edge_lengths)
+        prod = math.prod(spec[1:]) / math.prod(model.edge_lengths)
         target = n / model.alpha + 1.0
         rows.append({
             "t": t,
-            "eigenvalues": list(spec.eigenvalues),
+            "eigenvalues": list(spec),
             "product": prod,
             "target": target,
             "ratio": prod / target,

@@ -164,22 +164,9 @@ class LengthSpectrum:
     max_trace: int
     entries: tuple[GeodesicClass, ...]
 
-    @property
-    def torsion_flagged(self) -> bool:
-        return not self.group.torsion_free
-
     def counting(self, L: float) -> int:
         """N(L): number of primitive classes of length <= L, with multiplicity."""
         return sum(e.multiplicity for e in self.entries if e.length <= L)
-
-    def filtered(self, max_trace: int) -> "LengthSpectrum":
-        """The spectrum cut at max_trace, which may not exceed the trace
-        to which this one is complete."""
-        if max_trace > self.max_trace:
-            raise ValueError(f"cannot filter a spectrum complete to trace "
-                             f"{self.max_trace} up to {max_trace}")
-        return LengthSpectrum(self.group, max_trace,
-                              tuple(e for e in self.entries if e.trace <= max_trace))
 
     def total_classes(self) -> int:
         return sum(e.multiplicity for e in self.entries)

@@ -64,7 +64,6 @@ from .specfun import DomainError
 
 __all__ = [
     "QExpansion",
-    "Sym2LocalFactor",
     "PeterssonResult",
     "Sym2Result",
     "HidaResult",
@@ -291,20 +290,12 @@ def petersson_norm(f: QExpansion, tol: float = 1e-8) -> PeterssonResult:
 # symmetric-square L-function
 
 
-@dataclass(frozen=True)
-class Sym2LocalFactor:
-    ell: int
-    poly_coeffs: tuple[int, ...]  # 1 - e1 x + e2 x^2 - e3 x^3 in x = ell^-s
+def sym2_local_poly(ell: int, a_ell: int) -> tuple[int, int, int, int]:
+    """Good-prime degree-3 factor from a_ell (roots alpha^2, alpha beta, beta^2).
 
-    def reciprocal_root_moduli(self) -> list[float]:
-        roots = np.roots(self.poly_coeffs[::-1])
-        return sorted(1.0 / abs(r) for r in roots)
-
-
-def sym2_local_poly(ell: int, a_ell: int) -> Sym2LocalFactor:
-    """Good-prime degree-3 factor from a_ell (roots alpha^2, alpha beta, beta^2)."""
+    The coefficients of 1 - e1 x + e2 x^2 - e3 x^3 in x = ell^-s."""
     e1 = a_ell * a_ell - ell
-    return Sym2LocalFactor(ell=ell, poly_coeffs=(1, -e1, ell * e1, -ell ** 3))
+    return (1, -e1, ell * e1, -ell ** 3)
 
 
 def _sym2_coeff_rows(f: QExpansion, N: int, bad_betas: tuple[int | None, ...]) -> np.ndarray:
@@ -324,7 +315,7 @@ def _sym2_coeff_rows(f: QExpansion, N: int, bad_betas: tuple[int | None, ...]) -
         if p == f.level:
             continue
         # c(p^k) from 1/(1 + c1 X + c2 X^2 + c3 X^3), the good local factor
-        _, c1, c2, c3 = sym2_local_poly(p, f.a(p)).poly_coeffs
+        _, c1, c2, c3 = sym2_local_poly(p, f.a(p))
         seq = [1.0, float(-c1), float(c1 * c1 - c2)]
         while p ** len(seq) <= N:
             seq.append(-c1 * seq[-1] - c2 * seq[-2] - c3 * seq[-3])

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _S_MIN_GAP = 1e-6
+_TOL = 1e-12  # absolute log error of every Euler product and small-length factor
 
 
 class ConvergenceRegionError(DomainError):
@@ -105,8 +106,7 @@ def _tail_bound(l: float, s: float, K: int) -> float:
     return 2.0 * xK / ((1.0 - xK) * (1.0 - math.exp(-l)))
 
 
-def small_length_asymptotic(s: float, l_list: list[float],
-                            tol: float = 1e-12) -> list[float]:
+def small_length_asymptotic(s: float, l_list: list[float]) -> list[float]:
     """Gamma(s)^2 * [k>=0 local factor] * exp(pi^2/(3l)) * l^(2s-1) per l.
 
     Tends to 2 pi as l -> 0 for every s > 0, with an O(l) error.  The
@@ -125,7 +125,7 @@ def small_length_asymptotic(s: float, l_list: list[float],
     for l in l_list:
         if not l > 0:
             raise ValueError("lengths must be positive")
-        lf = local_factor(l, s, tol)
+        lf = local_factor(l, s, _TOL)
         log_k0_layer = 2.0 * math.log1p(-math.exp(-s * l))
         log_total = (2.0 * math.lgamma(s) + log_k0_layer + lf.log_value
                      + math.pi ** 2 / (3.0 * l) + (2.0 * s - 1.0) * math.log(l))
@@ -133,8 +133,8 @@ def small_length_asymptotic(s: float, l_list: list[float],
     return out
 
 
-def selberg_zeta(spectrum: LengthSpectrum, s: float, tol: float = 1e-12) -> ZetaEval:
-    """log Z(s) over the spectrum, with certified local tails.
+def selberg_zeta(spectrum: LengthSpectrum, s: float) -> ZetaEval:
+    """log Z(s) over the spectrum, with certified local tails summing to at most _TOL.
 
     An empty spectrum is the empty product, log Z = 0.
     """
@@ -145,7 +145,7 @@ def selberg_zeta(spectrum: LengthSpectrum, s: float, tol: float = 1e-12) -> Zeta
         return ZetaEval(s=s, log_value=0.0, truncation_trace=spectrum.max_trace,
                         tail_estimate=_pgt_tail(spectrum.max_trace, s))
     total_mult = sum(e.multiplicity for e in entries)
-    per_tol = tol / (2.0 * total_mult)
+    per_tol = _TOL / (2.0 * total_mult)
     log_val = 0.0
     for e in entries:  # deterministic order: entries are length-sorted
         lf = local_factor(e.length, s, per_tol)
@@ -163,8 +163,8 @@ def _pgt_tail(max_trace: int, s: float) -> float:
     return 2.0 * math.exp((1.0 - s) * L) / ((s - 1.0) * L)
 
 
-def ruelle_ratio(spectrum: LengthSpectrum, s: float, tol: float = 1e-12) -> float:
+def ruelle_ratio(spectrum: LengthSpectrum, s: float) -> float:
     """Z(s)/Z(s+1) from two Euler-product evaluations."""
-    za = selberg_zeta(spectrum, s, tol)
-    zb = selberg_zeta(spectrum, s + 1.0, tol)
+    za = selberg_zeta(spectrum, s)
+    zb = selberg_zeta(spectrum, s + 1.0)
     return math.exp(za.log_value - zb.log_value)

@@ -148,11 +148,11 @@ def riemann_zeta(s: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
 
 
 def hurwitz_zeta(s: float, a: float, budget: PrecisionBudget = DEFAULT_BUDGET) -> float:
-    """zeta(s, a) for real s != 1 and a > 0 (Euler-Maclaurin)."""
+    """zeta(s, a) for finite real s != 1 and 0 < a < inf (Euler-Maclaurin)."""
     if s == 1:
         raise PoleError("zeta(s, a) has a pole at s = 1")
-    if not a > 0:
-        raise DomainError("hurwitz_zeta requires a > 0")
+    if not (math.isfinite(s) and 0 < a < math.inf):
+        raise DomainError(f"hurwitz_zeta needs finite s and 0 < a < inf, not s = {s}, a = {a}")
     val, _ = _em_hurwitz(complex(s), float(a), 8, budget)
     return val.real
 
@@ -276,10 +276,10 @@ class SpecialConstants:
             )
 
 
-def compute_constants(budget: PrecisionBudget = DEFAULT_BUDGET) -> SpecialConstants:
-    """Build the constant block used by every other module.
+def compute_constants() -> SpecialConstants:
+    """Build the constant block used by every other module, at the default budget.
 
-    ``SpecialConstants`` itself checks the Voros identity, at the default
-    budget's limit, and raises BudgetExhaustedError when it fails."""
-    return SpecialConstants(zeta_prime_minus1=zeta_prime_minus1(budget)[0],
-                            log_gamma2_half=log_barnes_gamma2_half(budget))
+    ``SpecialConstants`` itself checks the Voros identity and raises
+    BudgetExhaustedError when it fails."""
+    return SpecialConstants(zeta_prime_minus1=zeta_prime_minus1()[0],
+                            log_gamma2_half=log_barnes_gamma2_half())

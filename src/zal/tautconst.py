@@ -39,8 +39,6 @@ __all__ = [
     "LOGG2",
     "const_C",
     "const_E",
-    "quillen_scale",
-    "detprime_laplacian",
     "reduce_form",
 ]
 
@@ -174,28 +172,3 @@ def const_E(t: SurfaceType, constants: SpecialConstants) -> tuple[float, LogLine
     """E(g,n) as (numeric, exact log-linear form)."""
     form = log_E_form(t)
     return math.exp(form.evaluate(constants)), form
-
-
-def quillen_scale(t: SurfaceType, z_prime_1: float, constants: SpecialConstants) -> float:
-    """Determinant-metric rescaling factor (E(g,n) * Z'(1))^(-1/2)."""
-    if not z_prime_1 > 0:
-        raise ValueError("z_prime_1 must be positive")
-    e, _ = const_E(t, constants)
-    return (e * z_prime_1) ** -0.5
-
-
-def detprime_laplacian(g: int, z_prime_1: float, which: str,
-                       constants: SpecialConstants) -> float:
-    """det' of the hyperbolic Laplacian on a closed genus-g surface.
-
-    ``which='dbar'`` is E(g,0) * Z'(1); ``which='scalar'`` divides it by
-    2^((g+2)/3), leaving Z'(1) * exp((2g-2)(2 zeta'(-1) - 1/4 + (1/2) log 2pi)).
-    """
-    if g < 2:
-        raise ValueError("closed hyperbolic surface needs g >= 2")
-    if not z_prime_1 > 0:
-        raise ValueError("z_prime_1 must be positive")
-    if which not in ("scalar", "dbar"):
-        raise ValueError("which must be 'scalar' or 'dbar'")
-    dbar = const_E(SurfaceType(g, 0), constants)[0] * z_prime_1
-    return dbar if which == "dbar" else dbar / 2.0 ** ((g + 2) / 3.0)

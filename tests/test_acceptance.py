@@ -5,6 +5,7 @@ and asserts both the check outcome and its runtime budget.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,11 @@ def test_no_assert_guards_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.stem for p in Path(zal.__file__).parent.glob("*.py") if p.stem != "__main__"))
+def test_every_public_name_exists(module):
+    mod = importlib.import_module(f"zal.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, missing

@@ -131,6 +131,21 @@ class TestMisc:
     def test_degenerate_inprocess(self, capsys):
         assert main(["degenerate", "--g", "1", "--n", "2", "--t", "1e-4"]) == 0
 
+    def test_verify_all_json_holds_plain_types(self, capsys):
+        # check results reach JSON here with no encoder hook: a numpy scalar
+        # in a report would fail json.dumps instead of being coerced
+        assert main(["verify", "all", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pass_fail"] and all(payload["pass_fail"].values())
+
+        def plain(x):
+            if isinstance(x, dict):
+                return all(isinstance(k, str) and plain(v) for k, v in x.items())
+            if isinstance(x, list):
+                return all(plain(v) for v in x)
+            return x is None or type(x) in (str, int, float, bool)
+        assert plain(payload)
+
     def test_constants_inprocess(self, capsys):
         assert main(["constants", "check", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

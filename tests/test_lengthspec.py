@@ -52,11 +52,6 @@ class TestGroupSpec:
         assert ls.GroupSpec.gamma1(13).torsion_free
         assert not ls.GroupSpec.full().torsion_free
 
-    def test_spectrum_flag_follows_group(self):
-        assert ls.LengthSpectrum(ls.GroupSpec.full(), 2, ()).torsion_flagged
-        sp = ls.subgroup_spectrum(ls.GroupSpec.principal2(), 10)
-        assert not sp.torsion_flagged and not sp.filtered(6).torsion_flagged
-
 
 def _closed_form_invariants(spec):
     """(g, n, m, torsion_free) from the per-kind formulae that the coset
@@ -216,14 +211,8 @@ class TestModularSpectrum:
     @given(st.integers(min_value=3, max_value=16), st.integers(min_value=3, max_value=16))
     def test_merging_invariance(self, t1, t2):
         lo, hi = sorted((t1, t2))
-        assert ls.modular_spectrum(hi).filtered(lo).entries == \
+        assert tuple(e for e in ls.modular_spectrum(hi).entries if e.trace <= lo) == \
             ls.modular_spectrum(lo).entries
-
-    def test_filter_above_completeness_raises(self):
-        sp = ls.modular_spectrum(10)
-        assert sp.filtered(10) == sp
-        with pytest.raises(ValueError):
-            sp.filtered(40)
 
 
 def oracles_count_below(L: float) -> int:
@@ -352,6 +341,14 @@ class TestSubgroupSpectrum:
         spec = getattr(ls.GroupSpec, kind)(p)
         bf = oracles.bruteforce_subgroup_counts(spec, 14, bound)
         prod = {e.trace: e.multiplicity for e in ls.subgroup_spectrum(spec, 14).entries}
+        assert bf == prod
+
+    @pytest.mark.parametrize("p,bound", [(13, 80), (17, 120), (19, 120), (23, 120),
+                                         (29, 200), (31, 220)])
+    def test_gamma0_bruteforce_at_trace_20(self, p, bound):
+        spec = ls.GroupSpec.gamma0(p)
+        bf = oracles.bruteforce_subgroup_counts(spec, 20, bound)
+        prod = {e.trace: e.multiplicity for e in ls.subgroup_spectrum(spec, 20).entries}
         assert bf == prod
 
     # the only trace up to p + 1 is p - 2; at B = 8000 Gamma1(31) finds 116 of its 120

@@ -135,12 +135,6 @@ class TestSelbergZeta:
         assert total == pytest.approx(
             selberg.selberg_zeta(sp, 2.0).log_value, abs=1e-14)
 
-    def test_certified_tail_contract(self):
-        sp = modular_spectrum(30)
-        a = selberg.selberg_zeta(sp, 2.0, tol=1e-10)
-        b = selberg.selberg_zeta(sp, 2.0, tol=1e-11)
-        assert abs(a.log_value - b.log_value) < a.tail_estimate
-
 
 class TestRuelle:
     def test_algebraic_identity(self):

@@ -131,6 +131,13 @@ class TestHurwitz:
         with pytest.raises(sf.DomainError):
             sf.hurwitz_zeta(2.0, -1.0, BUDGET)
 
+    @pytest.mark.parametrize("s,a", [(math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5),
+                                     (3.0, math.inf), (3.0, math.nan)])
+    def test_non_finite_arguments_refused(self, s, a):
+        # refused before the Euler-Maclaurin sum, not reported as a work limit
+        with pytest.raises(sf.DomainError):
+            sf.hurwitz_zeta(s, a, BUDGET)
+
 
 class TestZetaPrime:
     def test_dual_routes_agree(self):
@@ -192,7 +199,7 @@ class TestBarnesGamma2:
 
 class TestSpecialConstants:
     def test_construction_validates(self):
-        sc = sf.compute_constants(BUDGET)
+        sc = sf.compute_constants()
         assert sf.voros_residual(sc.zeta_prime_minus1, sc.log_gamma2_half) < 1e-11
 
     def test_bad_constants_rejected(self):

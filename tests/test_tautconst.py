@@ -74,44 +74,6 @@ def test_relations_full_grid_exact_and_numeric():
             assert abs(e0 / (math.pi ** n * e * e11 ** n) - 1) < 1e-12
 
 
-class TestQuillenScale:
-    def test_inverse_cancellation(self):
-        t = tc.SurfaceType(1, 2)
-        e, _ = tc.const_E(t, SC)
-        assert tc.quillen_scale(t, 1.0 / e, SC) == pytest.approx(1.0, abs=1e-13)
-
-    def test_unit_zprime(self):
-        t = tc.SurfaceType(1, 1)
-        e, _ = tc.const_E(t, SC)
-        assert tc.quillen_scale(t, 1.0, SC) == pytest.approx(e ** -0.5)
-
-    def test_homogeneity(self):
-        t = tc.SurfaceType(2, 1)
-        assert tc.quillen_scale(t, 4 * 0.37, SC) == pytest.approx(
-            tc.quillen_scale(t, 0.37, SC) / 2)
-
-    def test_positivity_required(self):
-        with pytest.raises(ValueError):
-            tc.quillen_scale(tc.SurfaceType(1, 1), 0.0, SC)
-
-
-class TestDetPrime:
-    def test_dbar_is_E_times_zprime(self):
-        e, _ = tc.const_E(tc.SurfaceType(2, 0), SC)
-        assert abs(tc.detprime_laplacian(2, 1.0, "dbar", SC) / e - 1) < 1e-12
-
-    def test_dbar_scalar_ratio(self):
-        r = (tc.detprime_laplacian(3, 1.7, "dbar", SC)
-             / tc.detprime_laplacian(3, 1.7, "scalar", SC))
-        assert r == pytest.approx(2 ** (5 / 3), rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            tc.detprime_laplacian(2, 0.0, "dbar", SC)
-        with pytest.raises(ValueError):
-            tc.detprime_laplacian(1, 1.0, "scalar", SC)
-
-
 class TestReduce:
     def test_pure_zeta_prime(self):
         v = tc.reduce_form(tc.LogLinearForm({tc.ZP1: F(1)}))
